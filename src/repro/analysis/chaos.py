@@ -124,18 +124,6 @@ def _specs() -> Dict[str, FaultSpec]:
             description="runaway-loop watchdog: 150 instructions/syscall",
         ),
         FaultSpec(
-            name="pipeline-backpressure",
-            plan=FaultPlan(taint_pipeline="batched", max_queue_depth=2),
-            # Guest boot bursts export-record taint events at module
-            # load -- far more than a 2-record FIFO holds between
-            # consistency drains -- so the soft-drop path (page-granular
-            # overtainting + a TaintPipelineOverflow fault record)
-            # engages in every scenario.
-            always_fires=True,
-            description="batched taint pipeline behind a 2-record FIFO: "
-                        "soft-drop degrades precision, never misses",
-        ),
-        FaultSpec(
             name="taint-budget",
             plan=FaultPlan(max_tainted_bytes=512),
             # Every attack taints > 512 bytes already at guest boot
@@ -176,7 +164,6 @@ def chaos_jobs(
     attacks: Optional[Sequence[str]] = None,
     fault_names: Optional[Sequence[str]] = None,
     metrics: bool = False,
-    taint_pipeline: Optional[str] = None,
 ) -> List[TriageJob]:
     """The attack x fault job list (row-major: all faults per attack)."""
     attacks = list(attacks) if attacks else list(ATTACKS)
@@ -194,8 +181,6 @@ def chaos_jobs(
                 params["harness"] = spec.harness
             if metrics:
                 params["metrics"] = True
-            if taint_pipeline is not None:
-                params["taint_pipeline"] = taint_pipeline
             jobs.append(
                 TriageJob(
                     job_id=len(jobs),
@@ -213,12 +198,10 @@ def run_chaos_matrix(
     jobs: int = 1,
     timeout: Optional[float] = None,
     metrics: bool = False,
-    taint_pipeline: Optional[str] = None,
 ) -> List[TriageResult]:
     """Execute the matrix through the triage engine (pool-compatible)."""
     return run_triage(
-        chaos_jobs(attacks, fault_names, metrics=metrics,
-                   taint_pipeline=taint_pipeline),
+        chaos_jobs(attacks, fault_names, metrics=metrics),
         jobs=jobs,
         timeout=timeout,
     )

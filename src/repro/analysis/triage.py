@@ -190,27 +190,6 @@ class TriageResult:
             fault=d.get("fault"),      # absent in pre-fault-taxonomy dicts
         )
 
-    def to_dict(self) -> dict:
-        """Deprecated alias of :meth:`to_json_dict`."""
-        import warnings
-
-        warnings.warn(
-            "TriageResult.to_dict is deprecated; use to_json_dict",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.to_json_dict()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TriageResult":
-        """Deprecated alias of :meth:`from_json_dict`."""
-        import warnings
-
-        warnings.warn(
-            "TriageResult.from_dict is deprecated; use from_json_dict",
-            DeprecationWarning, stacklevel=2,
-        )
-        return cls.from_json_dict(d)
-
 
 # ----------------------------------------------------------------------
 # job kinds (resolved by name inside the worker)
@@ -277,7 +256,6 @@ def _faros_outcome(faros: Faros, exit_code: Optional[int] = None,
 def _run_attack_job(attack: str, transient: bool = False,
                     metrics: bool = False, sample_every: int = 1,
                     top_blocks: int = 10,
-                    taint_pipeline: Optional[str] = None,
                     execution: Optional[str] = None) -> JobOutcome:
     """Record/replay one attack scenario with FAROS attached (§V-C).
 
@@ -295,14 +273,13 @@ def _run_attack_job(attack: str, transient: bool = False,
         from repro.serve.pool import warm_attack_outcome
 
         return warm_attack_outcome(attack, transient=transient,
-                                   session=session,
-                                   taint_pipeline=taint_pipeline)
+                                   session=session)
     with session.span("boot"):
         builder = ATTACK_BUILDER_REGISTRY[attack]
         scenario = builder(transient=True) if transient else builder()
     with session.span("attack"):
         recording = record(scenario.scenario)
-    faros = Faros(metrics=session.registry, taint_pipeline=taint_pipeline)
+    faros = Faros(metrics=session.registry)
     with session.span("detection"):
         replay(recording, plugins=session.plugins_for(faros),
                metrics=session.registry)
@@ -311,13 +288,12 @@ def _run_attack_job(attack: str, transient: bool = False,
 
 @job_kind("jit")
 def _run_jit_job(name: str, workload: str,
-                 metrics: bool = False, sample_every: int = 1,
-                 taint_pipeline: Optional[str] = None) -> JobOutcome:
+                 metrics: bool = False, sample_every: int = 1) -> JobOutcome:
     """One Table III JIT workload (Java applet or AJAX site)."""
     session = ObsSession.create(enabled=metrics, sample_every=sample_every)
     with session.span("boot"):
         sample = build_jit_scenario(name, workload)
-    faros = Faros(metrics=session.registry, taint_pipeline=taint_pipeline)
+    faros = Faros(metrics=session.registry)
     with session.span("detection"):
         sample.scenario.run(plugins=session.plugins_for(faros),
                             metrics=session.registry)
@@ -332,13 +308,12 @@ def _run_jit_job(name: str, workload: str,
 
 @job_kind("corpus")
 def _run_corpus_job(metrics: bool = False, sample_every: int = 1,
-                    taint_pipeline: Optional[str] = None,
                     **params) -> JobOutcome:
     """One Table IV corpus sample, rebuilt from its picklable spec."""
     session = ObsSession.create(enabled=metrics, sample_every=sample_every)
     with session.span("boot"):
         spec = SampleSpec.from_params(**params)
-    faros = Faros(metrics=session.registry, taint_pipeline=taint_pipeline)
+    faros = Faros(metrics=session.registry)
     with session.span("detection"):
         machine = spec.scenario().run(plugins=session.plugins_for(faros),
                                       metrics=session.registry)
@@ -354,14 +329,13 @@ def _run_corpus_job(metrics: bool = False, sample_every: int = 1,
 
 @job_kind("comparison")
 def _run_comparison_job(attack: str, transient: bool = False,
-                        metrics: bool = False, sample_every: int = 1,
-                        taint_pipeline: Optional[str] = None) -> JobOutcome:
+                        metrics: bool = False, sample_every: int = 1) -> JobOutcome:
     """One §VI-B row: the same attack under FAROS, Cuckoo, and malfind."""
     session = ObsSession.create(enabled=metrics, sample_every=sample_every)
     with session.span("boot"):
         builder = ATTACK_BUILDER_REGISTRY[attack]
         attack_obj = builder(transient=transient)
-    faros = Faros(metrics=session.registry, taint_pipeline=taint_pipeline)
+    faros = Faros(metrics=session.registry)
     with session.span("detection"):
         attack_obj.scenario.run(plugins=session.plugins_for(faros),
                                 metrics=session.registry)
@@ -387,7 +361,6 @@ def _run_comparison_job(attack: str, transient: bool = False,
 @job_kind("chaos")
 def _run_chaos_job(attack: str, plan: dict, fault_name: str = "",
                    metrics: bool = False, sample_every: int = 1,
-                   taint_pipeline: Optional[str] = None,
                    harness: Optional[str] = None) -> JobOutcome:
     """One chaos-matrix cell: record *attack* under an injected
     :class:`~repro.faults.plan.FaultPlan`, then replay with FAROS.
@@ -402,7 +375,7 @@ def _run_chaos_job(attack: str, plan: dict, fault_name: str = "",
         # Imported lazily (serve imports triage at module level).
         from repro.serve.harness import run_harness
 
-        outcome = run_harness(harness, attack, taint_pipeline=taint_pipeline)
+        outcome = run_harness(harness, attack)
         outcome.extra.setdefault("attack", attack)
         outcome.extra.setdefault("fault_name", fault_name)
         return outcome
@@ -415,10 +388,7 @@ def _run_chaos_job(attack: str, plan: dict, fault_name: str = "",
             scenario = fault_plan.apply(ATTACK_BUILDER_REGISTRY[attack]().scenario)
         with session.span("attack"):
             recording = record(scenario)
-        # An explicit CLI pipeline choice wins; otherwise the plan's own
-        # pipeline fields (folded into MachineConfig by ``apply``) rule.
-        faros = Faros(policy=fault_plan.taint_policy(), metrics=session.registry,
-                      taint_pipeline=taint_pipeline)
+        faros = Faros(policy=fault_plan.taint_policy(), metrics=session.registry)
         with session.span("detection"):
             replay(recording, plugins=session.plugins_for(faros),
                    metrics=session.registry)
@@ -840,57 +810,46 @@ def run_triage(
 # batch builders (the experiment runners' job lists)
 # ----------------------------------------------------------------------
 
-def _with_metrics(params: Dict[str, Any], metrics: bool,
-                  taint_pipeline: Optional[str] = None) -> Dict[str, Any]:
-    """Only set the keys when non-default, so descriptors for plain
+def _with_metrics(params: Dict[str, Any], metrics: bool) -> Dict[str, Any]:
+    """Only set the key when non-default, so descriptors for plain
     runs stay byte-identical to the pre-observability wire format."""
     if metrics:
         params["metrics"] = True
-    if taint_pipeline is not None:
-        params["taint_pipeline"] = taint_pipeline
     return params
 
 
-def attack_jobs(names: Sequence[str], metrics: bool = False,
-                taint_pipeline: Optional[str] = None) -> List[TriageJob]:
+def attack_jobs(names: Sequence[str], metrics: bool = False) -> List[TriageJob]:
     return [
         TriageJob(job_id=i, name=name, kind="attack",
-                  params=_with_metrics({"attack": name}, metrics,
-                                       taint_pipeline))
+                  params=_with_metrics({"attack": name}, metrics))
         for i, name in enumerate(names)
     ]
 
 
 def jit_jobs(workloads: Sequence[Tuple[str, str]],
-             metrics: bool = False,
-             taint_pipeline: Optional[str] = None) -> List[TriageJob]:
+             metrics: bool = False) -> List[TriageJob]:
     return [
         TriageJob(job_id=i, name=name, kind="jit",
                   params=_with_metrics(
-                      {"name": name, "workload": workload}, metrics,
-                      taint_pipeline))
+                      {"name": name, "workload": workload}, metrics))
         for i, (name, workload) in enumerate(workloads)
     ]
 
 
 def corpus_jobs(samples: Sequence[SampleSpec],
-                metrics: bool = False,
-                taint_pipeline: Optional[str] = None) -> List[TriageJob]:
+                metrics: bool = False) -> List[TriageJob]:
     return [
         TriageJob(job_id=i, name=spec.name, kind="corpus",
-                  params=_with_metrics(spec.job_params(), metrics,
-                                       taint_pipeline))
+                  params=_with_metrics(spec.job_params(), metrics))
         for i, spec in enumerate(samples)
     ]
 
 
 def comparison_jobs(cases: Sequence[Tuple[str, bool]],
-                    metrics: bool = False,
-                    taint_pipeline: Optional[str] = None) -> List[TriageJob]:
+                    metrics: bool = False) -> List[TriageJob]:
     return [
         TriageJob(job_id=i, name=attack, kind="comparison",
                   params=_with_metrics(
-                      {"attack": attack, "transient": transient}, metrics,
-                      taint_pipeline))
+                      {"attack": attack, "transient": transient}, metrics))
         for i, (attack, transient) in enumerate(cases)
     ]

@@ -15,7 +15,6 @@ than ordering against it (see :mod:`repro.taint.tracker`).
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards, typing only
@@ -237,9 +236,6 @@ class PluginManager:
     callable assigned on the instance both count, but instance
     assignment must happen *before* :meth:`register` (the lists are not
     rebuilt when a registered plugin mutates).
-
-    The legacy string-keyed :meth:`dispatch` survives as a deprecated
-    shim over the same precomputed lists.
     """
 
     def __init__(self) -> None:
@@ -261,14 +257,6 @@ class PluginManager:
                 # compares as itself.  Either way, anything that is not
                 # the Plugin base no-op participates in the hook.
                 hook = getattr(plugin, name)
-                if getattr(hook, "__deprecated_channel_shim__", False):
-                    # Legacy tracker channel methods kept as warning
-                    # shims for out-of-tree callers: the plugin's
-                    # auto-registered TaintPipeline owns the channel
-                    # hooks now, so wiring the shim too would both
-                    # double-apply every event and trip the warning
-                    # filter from inside the machine.
-                    continue
                 if getattr(hook, "__func__", hook) is not getattr(Plugin, name):
                     handlers[name].append(hook)
         self._handlers = handlers
@@ -278,17 +266,15 @@ class PluginManager:
     def _attach(self, plugin: Plugin) -> None:
         """Append *plugin*, auto-registering its taint pipeline first.
 
-        A plugin exposing a ``pipeline`` with the ``is_taint_pipeline``
+        A plugin exposing a ``pipeline`` with the ``is_taint_transport``
         marker (the taint trackers, FAROS) gets that transport inserted
-        *ahead* of itself: the pipeline's ``wants_insn_effects`` is the
-        drain barrier, and it must run before its owner probes shadow
-        state, or a queued taint seed could leave a slice
-        under-instrumented.
+        *ahead* of itself, so the machine's physical-channel hooks reach
+        its shadow state before the owner's own hooks run.
         """
         pipeline = getattr(plugin, "pipeline", None)
         if (
             pipeline is not None
-            and getattr(pipeline, "is_taint_pipeline", False)
+            and getattr(pipeline, "is_taint_transport", False)
             and pipeline not in self._plugins
         ):
             self._plugins.append(pipeline)
@@ -317,22 +303,6 @@ class PluginManager:
     def handlers(self, hook: str) -> Tuple[Callable, ...]:
         """The precomputed dispatch list for *hook* (introspection)."""
         return tuple(self._handlers[hook])
-
-    def dispatch(self, callback: str, *args) -> None:
-        """Deprecated: invoke *callback* on every plugin overriding it.
-
-        Use the per-hook dispatcher attribute instead, e.g.
-        ``manager.on_syscall_enter(...)`` -- same semantics, no string
-        key, no per-call hook lookup.
-        """
-        warnings.warn(
-            "PluginManager.dispatch(name, ...) is deprecated; call the "
-            f"precomputed per-hook dispatcher (manager.{callback}(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        for handler in self._handlers[callback]:
-            handler(*args)
 
     def needs_insn_effects(self) -> bool:
         """True if any plugin currently wants per-instruction effects.

@@ -81,22 +81,14 @@ class Detector:
         config: Optional[DetectionConfig] = None,
         metrics=None,
         shadow=None,
-        pipeline=None,
     ) -> None:
         """*shadow*, when it is a flag-cache-capable
         :class:`~repro.taint.shadow.ShadowMemory`, enables the per-page
         summary-word confluence pre-check in :meth:`observe_load`; any
         other value (e.g. the reference tracker's oracle shadow) is
-        ignored and the detector scans read provenance directly.
-
-        *pipeline*, when given, makes each confluence check a
-        synchronization barrier on the decoupled taint transport: queued
-        channel events are drained and soft-dropped (overtainted) pages
-        have their flag-cache summaries revalidated before any pre-check
-        is trusted."""
+        ignored and the detector scans read provenance directly."""
         self.tags = tags
         self.shadow = shadow if hasattr(shadow, "page_summary") else None
-        self.pipeline = pipeline
         self.config = config or DetectionConfig()
         self.flagged: List[FlaggedInstruction] = []
         #: Callbacks invoked with each fresh FlaggedInstruction (e.g. the
@@ -141,17 +133,6 @@ class Detector:
             rule = "cross-process+export-table"
         if rule is None:
             return
-
-        pipeline = self.pipeline
-        if pipeline is not None:
-            # Confluence checks are synchronization barriers on the
-            # decoupled transport (ISSUE 8): any still-queued channel
-            # events are applied, and pages degraded by soft-drop get
-            # their summary words recomputed before the flag-cache
-            # pre-check below is allowed to prove anything.  During
-            # machine runs the queue is already empty here (slices
-            # drain at the dispatch plan), so this is two truth tests.
-            pipeline.pre_confluence()
 
         shadow = self.shadow
         if shadow is not None:

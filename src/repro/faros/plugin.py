@@ -59,7 +59,6 @@ class Faros(Plugin):
         taint_kernel_code: bool = False,
         tracker_cls=TaintTracker,
         metrics: Optional[MetricsRegistry] = None,
-        taint_pipeline: Optional[str] = None,
     ) -> None:
         """Create the plugin.
 
@@ -81,10 +80,6 @@ class Faros(Plugin):
             publish taint/detector instrumentation into.  ``None`` binds
             the shared null registry -- the analysis hot paths then touch
             only no-op counter singletons.
-        :param taint_pipeline: transport mode for the taint event stream
-            (``"inline"``/``"batched"``/``"worker"``).  ``None`` defers
-            to ``MachineConfig.taint_pipeline`` at machine start (whose
-            default, ``inline``, is the pre-pipeline behaviour).
         """
         super().__init__()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -92,7 +87,6 @@ class Faros(Plugin):
         self.tracker = tracker_cls(
             policy=policy or TaintPolicy(),
             tags=self.tags,
-            taint_pipeline=taint_pipeline,
         )
         #: The channel-event transport feeding the tracker.  Exposing it
         #: here lets the plugin manager auto-register it ahead of this
@@ -107,7 +101,6 @@ class Faros(Plugin):
             detection,
             metrics=self.metrics,
             shadow=getattr(self.tracker, "shadow", None),
-            pipeline=self.pipeline,
         )
         if self.metrics.enabled:
             register_tracker_metrics(self.metrics, self.tracker)
@@ -198,8 +191,6 @@ class Faros(Plugin):
         :meth:`~repro.faros.report.FarosReport.render` name the true
         origin of dropped-then-reloaded payloads.
         """
-        # prov_of_range is itself a sync barrier: the lineage snapshot
-        # must reflect every queued channel event before this write.
         origin = self.tracker.prov_of_range(paddrs)
         self.file_lineage.setdefault(path.lower(), []).append((version, origin))
         self.pipeline.taint(paddrs, self.tags.file_tag(path, version))
@@ -274,10 +265,6 @@ class Faros(Plugin):
 
     def report(self) -> FarosReport:
         """Produce the analysis report (call after the run completes)."""
-        # Final synchronization barrier: apply any still-queued channel
-        # events and reap the worker-mode consumer (close() records its
-        # cross-check and is a no-op for inline/batched transports).
-        self.pipeline.close()
         return FarosReport(
             flagged=list(self.detector.flagged),
             tag_store=self.tags,

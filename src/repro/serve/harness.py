@@ -66,8 +66,7 @@ def _outcome_from_result(result: TriageResult, fault: FaultRecord,
     )
 
 
-def worker_crash_outcome(attack: str,
-                         taint_pipeline: Optional[str] = None) -> JobOutcome:
+def worker_crash_outcome(attack: str) -> JobOutcome:
     """Kill a supervised worker mid-sample, then prove nothing was lost.
 
     The inner worker runs the attack; once its progress sink shows the
@@ -78,10 +77,7 @@ def worker_crash_outcome(attack: str,
     reruns the job, and the final row carries the crash record plus
     the rerun's verdict.
     """
-    params = {"attack": attack}
-    if taint_pipeline is not None:
-        params["taint_pipeline"] = taint_pipeline
-    job = TriageJob(job_id=0, name=attack, kind="attack", params=params)
+    job = TriageJob(job_id=0, name=attack, kind="attack", params={"attack": attack})
 
     worker = SupervisedWorker()
     worker.submit(job, attempt=1)
@@ -131,8 +127,7 @@ def worker_crash_outcome(attack: str,
     )
 
 
-def snapshot_corrupt_outcome(attack: str,
-                             taint_pipeline: Optional[str] = None) -> JobOutcome:
+def snapshot_corrupt_outcome(attack: str) -> JobOutcome:
     """Flip a byte of frozen snapshot state; the digest check must fire.
 
     A private pool captures the attack's snapshot, one byte of the
@@ -153,8 +148,7 @@ def snapshot_corrupt_outcome(attack: str,
     snapshot.state_blob = bytes(blob)
     pool.put(key, snapshot)
 
-    outcome = warm_attack_outcome(attack, taint_pipeline=taint_pipeline,
-                                  pool=pool)
+    outcome = warm_attack_outcome(attack, pool=pool)
     outcome.extra["harness"] = "snapshot-corrupt"
     if outcome.fault is None:
         # The corrupted snapshot served a fork: the digest check failed
@@ -174,9 +168,8 @@ HARNESSES = {
 }
 
 
-def run_harness(name: str, attack: str,
-                taint_pipeline: Optional[str] = None) -> JobOutcome:
-    return HARNESSES[name](attack, taint_pipeline=taint_pipeline)
+def run_harness(name: str, attack: str) -> JobOutcome:
+    return HARNESSES[name](attack)
 
 
 # ----------------------------------------------------------------------

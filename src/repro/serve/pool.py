@@ -199,8 +199,7 @@ def attack_snapshot_key(attack: str, transient: bool = False) -> str:
 
 
 def warm_attack_outcome(attack: str, transient: bool = False,
-                        session=None, taint_pipeline: Optional[str] = None,
-                        pool: Optional[SnapshotPool] = None):
+                        session=None, pool: Optional[SnapshotPool] = None):
     """Record/replay *attack* through the warm pool; degrade to cold.
 
     The warm path is bit-identical to the cold one (the snapshot
@@ -239,7 +238,7 @@ def warm_attack_outcome(attack: str, transient: bool = False,
             attack_obj = builder(transient=True) if transient else builder()
         with session.span("attack"):
             recording = record(attack_obj.scenario)
-        faros = Faros(metrics=session.registry, taint_pipeline=taint_pipeline)
+        faros = Faros(metrics=session.registry)
         with session.span("detection"):
             replay(recording, plugins=session.plugins_for(faros),
                    metrics=session.registry)
@@ -251,7 +250,7 @@ def warm_attack_outcome(attack: str, transient: bool = False,
     snapshot = pool.get(key)
     with session.span("attack"):
         recording = snapshot_record(snapshot, machine=machine)
-    faros = Faros(metrics=session.registry, taint_pipeline=taint_pipeline)
+    faros = Faros(metrics=session.registry)
     with session.span("detection"):
         snapshot_replay(snapshot, recording,
                         plugins=session.plugins_for(faros),

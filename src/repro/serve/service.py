@@ -24,6 +24,7 @@ any completed row verbatim, so no job is ever lost or run twice.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import os
 import socket
@@ -35,6 +36,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
 
 from repro.analysis.triage import (
     DEFAULT_MAX_RETRIES,
+    JOB_KINDS,
     TriageJob,
     TriageResult,
     _error_result,
@@ -44,6 +46,15 @@ from repro.serve.journal import JobJournal, job_from_json_dict, job_to_json_dict
 from repro.serve.supervisor import WorkerPool
 
 PRIORITIES = ("high", "normal", "low")
+
+
+def _check_runnable(job: TriageJob) -> None:
+    """Raise unless *job*'s kind exists and its runner accepts its params,
+    so a job no worker could run is rejected before it is journaled."""
+    runner = JOB_KINDS.get(job.kind)
+    if runner is None:
+        raise ValueError(f"unknown job kind {job.kind!r}")
+    inspect.signature(runner).bind(**job.params)
 
 
 @dataclass
@@ -142,7 +153,8 @@ class TriageService:
                     "reason": f"unknown priority {priority!r}"}
         try:
             job = job_from_json_dict(job_dict)
-        except (KeyError, TypeError) as exc:
+            _check_runnable(job)
+        except (KeyError, TypeError, ValueError) as exc:
             return {"rec": "reject", "job_id": job_dict.get("job_id"),
                     "reason": f"malformed job: {exc}"}
         with self._lock:

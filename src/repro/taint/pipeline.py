@@ -1,15 +1,12 @@
-"""The decoupled taint pipeline (the DIFT-coprocessor architecture).
+"""The taint event stream: the machine's channel events as packed records.
 
-The hardware-assisted DIFT line (the ARM coprocessor papers and the gem5
-``dift_soft_drop`` monitoring-core model) separates *event production*
-from *taint consumption*: the main core streams compact events into a
-bounded FIFO and a monitor consumes them asynchronously, degrading
-gracefully -- dropping events into conservative coarse-grained taint --
-when it falls behind.  This module reproduces that shape for the
-machine's **channel events** (taint seeding, external writes, kernel
-copies, frame frees): the events that used to be direct method calls on
-the tracker now travel as an array-packed batched stream through a
-:class:`TaintPipeline` into any :class:`TaintSink`.
+The machine's **channel events** -- taint seeding, external writes,
+kernel copies, frame frees -- reach a taint engine through one
+:class:`TaintPipeline`, which packs each event into an array of
+fixed-width records and hands it synchronously to a :class:`TaintSink`.
+Propagation stays inline with execution, as in FAROS' PANDA replay
+plugin: every event is applied before the emitting call returns, so
+shadow state is always current and no observer needs a barrier.
 
 Protocol
 --------
@@ -20,79 +17,23 @@ or more fixed-width records (``RECORD_SLOTS`` machine words in an
 ``contiguous_runs`` bulk decomposition, with ``Tag`` side references in
 a per-batch ``refs`` table.  The final record of an event carries
 ``FLAG_LAST`` so consumers bump per-event statistics (``kernel_copies``,
-``external_writes``) and run per-event budget checks exactly once, in
-the same places the direct-call API did.  A batch is versioned
-(:data:`PROTOCOL_VERSION`); consumers reject batches they do not speak.
+``external_writes``) and run per-event budget checks exactly once.
 
 Consumers implement ``consume(batch)`` -- the :class:`TaintSink`
-protocol -- and both the fast :class:`~repro.taint.tracker.TaintTracker`
-and the byte-at-a-time reference oracle implement it, so the
-differential harness holds every transport mode bit-identical.
-
-Transport modes
----------------
-
-* ``inline`` (default): each event is consumed at emission, on the
-  emitting thread.  Exactly the pre-pipeline behaviour, factored
-  through the shared protocol.
-* ``batched``: events queue in a bounded ring and drain at the
-  machine's natural consistency points -- slice start and post-syscall
-  re-planning (via :meth:`TaintPipeline.wants_insn_effects`), machine
-  stop, provenance queries, and report generation.  Because every
-  observation of shadow state sits behind one of those barriers,
-  drop-free batched runs are bit-identical to inline runs.
-* ``worker``: batched, plus every drained batch is shipped over a
-  fork/pipe channel (the triage engine's picklable-channel idiom) to a
-  per-guest worker process that applies it to a replica sink -- the
-  asynchronous DIFT monitor.  The local sink remains authoritative for
-  synchronous queries (detection needs the shadow in-process); the
-  worker demonstrates consumption decoupling and is cross-checked at
-  :meth:`TaintPipeline.close`.  With ``offload=True`` local consumption
-  is skipped entirely and the worker is the *only* consumer -- the
-  producer-side cost of streaming is then just packing words, which is
-  what the throughput benchmark gates.
-
-Soft drop
----------
-
-When the ring is full (``TaintPolicy.max_queue_depth`` packed records),
-the *oldest* queued events -- the ones at the consumption point, so
-stream order is preserved -- are collapsed to **page-granular
-overtaint** and applied immediately:
-
-* an APPEND degrades to appending its tag to every spanned 4 KiB shadow
-  page (a superset of the precise bytes);
-* CLEAR / WRITE / FREE degrade to *nothing* -- stale taint is retained,
-  which can only over-report;
-* a COPY degrades to appending the union of the spanned source pages'
-  provenance (plus the actor tag) to the spanned destination pages --
-  a superset of any per-byte result, without ever clearing.
-
-Overtainting is therefore conservative: a dropped range never
-under-reports, so detections cannot be missed (false positives may
-appear; the run is flagged degraded via the machine's fault plumbing
-and the loss is visible in the ``taint.pipeline.*`` gauges).  Dropped
-pages are queued for revalidation: the next confluence check forces
-their flag-cache summary words to be recomputed before the detector
-trusts a pre-check on them.
+protocol.  Both the fast :class:`~repro.taint.tracker.TaintTracker` and
+the byte-at-a-time reference oracle implement it, so the differential
+harness holds the bulk and per-byte consumers bit-identical.
 """
 
 from __future__ import annotations
 
-import warnings
 from array import array
-from collections import deque
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.emulator.plugins import Plugin
-from repro.faults.errors import EmulatorFault
-from repro.isa.memory import PAGE_SHIFT, PAGE_SIZE, contiguous_runs
-from repro.taint.shadow import SHADOW_PAGE_SHIFT
+from repro.isa.memory import contiguous_runs
 from repro.taint.tags import Tag
-
-#: Version stamp carried by every batch; consumers must match exactly.
-PROTOCOL_VERSION = 1
 
 #: Machine words per packed record.
 RECORD_SLOTS = 6
@@ -103,8 +44,6 @@ EV_CLEAR = 2           #: clear [a, a+b)
 EV_WRITE = 3           #: external write: clear [a, a+b), count on LAST
 EV_COPY = 4            #: copy [b, b+c) -> [a, a+c) with optional actor ``ref``
 EV_FREE = 5            #: frames [a, a+b) freed: clear their pages
-EV_OVERTAINT = 6       #: soft-drop residue: page-granular append of ``ref``
-EV_OVERTAINT_COPY = 7  #: soft-drop residue: page-granular copy union
 
 KIND_MASK = 0xFF
 FLAG_LAST = 0x100
@@ -115,13 +54,7 @@ KIND_NAMES = {
     EV_WRITE: "write",
     EV_COPY: "copy",
     EV_FREE: "free",
-    EV_OVERTAINT: "overtaint",
-    EV_OVERTAINT_COPY: "overtaint-copy",
 }
-
-PIPELINE_MODES = ("inline", "batched", "worker")
-
-_SHADOW_PAGE_SIZE = 1 << SHADOW_PAGE_SHIFT
 
 
 @dataclass(frozen=True)
@@ -148,14 +81,13 @@ class TaintEvent:
 
 
 class EventBatch:
-    """One drained batch: packed records plus the tag side table."""
+    """One emitted event: packed records plus the tag side table."""
 
-    __slots__ = ("records", "refs", "version")
+    __slots__ = ("records", "refs")
 
-    def __init__(self, records: array, refs: List[Optional[Tag]], version: int = PROTOCOL_VERSION) -> None:
+    def __init__(self, records: array, refs: List[Optional[Tag]]) -> None:
         self.records = records
         self.refs = refs
-        self.version = version
 
     def __len__(self) -> int:
         return len(self.records) // RECORD_SLOTS
@@ -186,21 +118,11 @@ class TaintSink:
 
     Both taint trackers implement this; the pipeline only ever talks to
     its sink through :meth:`consume` (plus the optional
-    ``resolve_actor_tag`` helper for copy-event tag minting, which must
-    happen at *emit* time to preserve tag-store mint order).
+    ``resolve_actor_tag`` helper for copy-event tag minting).
     """
 
     def consume(self, batch: EventBatch) -> None:  # pragma: no cover - protocol
         raise NotImplementedError
-
-
-def check_protocol(batch: EventBatch) -> None:
-    """Reject batches from a different protocol generation."""
-    if batch.version != PROTOCOL_VERSION:
-        raise ValueError(
-            f"taint event batch speaks protocol v{batch.version}, "
-            f"this consumer speaks v{PROTOCOL_VERSION}"
-        )
 
 
 class TaintPipeline(Plugin):
@@ -209,91 +131,20 @@ class TaintPipeline(Plugin):
     Registers as an emulator plugin *in front of* its owning tracker
     (:meth:`~repro.emulator.plugins.PluginManager.register` inserts it
     automatically), receives the machine's physical-channel hooks, and
-    either consumes immediately (``inline``) or queues and drains at the
-    consistency points described in the module docstring.
+    packs each event into records its sink consumes before the hook
+    returns.
     """
 
     #: Duck-type marker so the plugin manager can auto-register the
     #: pipeline without importing this module (cycle avoidance).
-    is_taint_pipeline = True
+    is_taint_transport = True
 
-    def __init__(
-        self,
-        sink: Optional[TaintSink],
-        mode: Optional[str] = None,
-        max_queue_depth: Optional[int] = None,
-        offload: bool = False,
-    ) -> None:
+    def __init__(self, sink: TaintSink) -> None:
         super().__init__()
-        if mode is not None and mode not in PIPELINE_MODES:
-            raise ValueError(
-                f"unknown taint pipeline mode {mode!r}; expected one of {PIPELINE_MODES}"
-            )
-        if offload and sink is not None:
-            raise ValueError("offload pipelines must not carry a local sink")
         self.sink = sink
-        self._mode = mode
-        self._mode_explicit = mode is not None
-        if max_queue_depth is None:
-            policy = getattr(sink, "policy", None)
-            max_queue_depth = getattr(policy, "max_queue_depth", None)
-        self.max_queue_depth = max_queue_depth
-        self.offload = offload
-        self._machine = None
-        self._queue: deque = deque()  # of (array('q') records, [refs]) per event
-        self._pending_records = 0
-        self._fault_noted = False
-        # -- gauges ----------------------------------------------------
         self.emitted_events = 0
         self.emitted_records = 0
         self.consumed_records = 0
-        self.consumed_batches = 0
-        self.drops = 0              # events collapsed by soft-drop
-        self.dropped_records = 0
-        self.revalidations = 0
-        self._overtainted_pages: set = set()
-        self._pending_revalidation: set = set()
-        # -- worker machinery (lazy) ----------------------------------
-        self._worker = None
-        self._shipped_records = 0
-        self.worker_summary: Optional[dict] = None
-        self.worker_error: Optional[str] = None
-
-    # ------------------------------------------------------------------
-    # configuration
-    # ------------------------------------------------------------------
-
-    @property
-    def mode(self) -> str:
-        return self._mode or "inline"
-
-    def set_mode(self, mode: str) -> None:
-        """Switch transport mode (drains any queued events first)."""
-        if mode not in PIPELINE_MODES:
-            raise ValueError(
-                f"unknown taint pipeline mode {mode!r}; expected one of {PIPELINE_MODES}"
-            )
-        if self._queue:
-            self.drain()
-        self._mode = mode
-        self._mode_explicit = True
-
-    @property
-    def depth(self) -> int:
-        """Packed records currently queued (the FIFO occupancy gauge)."""
-        return self._pending_records
-
-    @property
-    def overtainted_pages(self) -> int:
-        return len(self._overtainted_pages)
-
-    @property
-    def lag_records(self) -> int:
-        """Records shipped to the worker but not yet consumed there."""
-        worker = self._worker
-        if worker is None:
-            return 0
-        return max(0, self._shipped_records - worker.consumed())
 
     # ------------------------------------------------------------------
     # emission: the TaintEvent protocol verbs
@@ -302,12 +153,11 @@ class TaintPipeline(Plugin):
     def taint(self, paddrs: Sequence[int], tag: Tag) -> None:
         """Append *tag* to every byte of *paddrs* (taint seeding)."""
         recs = array("q")
-        refs: List[Optional[Tag]] = [tag]
         for start, length in contiguous_runs(paddrs):
             recs.extend((EV_APPEND, start, length, 0, 0, 0))
         if recs:
             recs[-RECORD_SLOTS] |= FLAG_LAST
-            self._emit(recs, refs)
+            self._emit(recs, [tag])
 
     def clear(self, paddrs: Sequence[int]) -> None:
         """Drop the provenance of every byte of *paddrs*."""
@@ -333,12 +183,7 @@ class TaintPipeline(Plugin):
         src_paddrs: Sequence[int],
         actor_tag: Optional[Tag] = None,
     ) -> None:
-        """Kernel byte move ``dst[i] <- src[i]`` with an optional actor tag.
-
-        The actor's process tag must be resolved by the caller (at emit
-        time): tag indices are assigned in mint order, and deferring the
-        mint to consumption would reorder the tag store under batching.
-        """
+        """Kernel byte move ``dst[i] <- src[i]`` with an optional actor tag."""
         recs = array("q")
         refs: List[Optional[Tag]] = []
         ref = -1
@@ -366,193 +211,23 @@ class TaintPipeline(Plugin):
             recs[-RECORD_SLOTS] |= FLAG_LAST
             self._emit(recs, [])
 
-    # ------------------------------------------------------------------
-    # queueing, backpressure, dispatch
-    # ------------------------------------------------------------------
-
     def _emit(self, recs: array, refs: List[Optional[Tag]]) -> None:
         n = len(recs) // RECORD_SLOTS
         self.emitted_events += 1
         self.emitted_records += n
-        if self.mode == "inline":
-            self._dispatch(recs, refs)
-            return
-        maxd = self.max_queue_depth
-        if maxd is not None:
-            queue = self._queue
-            while queue and self._pending_records + n > maxd:
-                self._drop_oldest()
-            if not queue and n > maxd:
-                # Oversized event on an empty ring: the FIFO front *is*
-                # the current stream position, so consuming it
-                # synchronously is exact -- no degradation needed.
-                self._dispatch(recs, refs)
-                return
-        self._queue.append((recs, refs))
-        self._pending_records += n
-
-    def _dispatch(self, recs: array, refs: List[Optional[Tag]]) -> None:
-        batch = EventBatch(recs, refs)
-        if self.mode == "worker":
-            self._ship(batch)
-        sink = self.sink
-        if sink is not None and not self.offload:
-            sink.consume(batch)
-            self.consumed_records += len(recs) // RECORD_SLOTS
-            self.consumed_batches += 1
+        self.sink.consume(EventBatch(recs, refs))
+        self.consumed_records += n
 
     def drain(self) -> None:
-        """Consume every queued event, in FIFO order, as one batch."""
-        queue = self._queue
-        if not queue:
-            return
-        if len(queue) == 1:
-            recs, refs = queue.popleft()
-        else:
-            recs = array("q")
-            refs = []
-            for event_recs, event_refs in queue:
-                offset = len(refs)
-                if offset:
-                    for i in range(5, len(event_recs), RECORD_SLOTS):
-                        if event_recs[i] >= 0:
-                            event_recs[i] += offset
-                recs.extend(event_recs)
-                refs.extend(event_refs)
-            queue.clear()
-        self._pending_records = 0
-        try:
-            self._dispatch(recs, refs)
-        except EmulatorFault:
-            # A budget watchdog tripped mid-batch.  The machine turns
-            # the raise into a FaultRecord and the run ends; discard
-            # whatever this batch had left so later sync barriers
-            # (machine stop, report generation) do not re-raise into
-            # paths that must stay fault-free.
-            queue.clear()
-            self._pending_records = 0
-            raise
+        """No-op: every event is consumed at emission, nothing queues.
 
-    def sync(self) -> None:
-        """Synchronization barrier: after this, the sink is current."""
-        if self._queue:
-            self.drain()
-
-    # -- soft drop ------------------------------------------------------
-
-    def _drop_oldest(self) -> None:
-        recs, refs = self._queue.popleft()
-        n = len(recs) // RECORD_SLOTS
-        self._pending_records -= n
-        self.drops += 1
-        self.dropped_records += n
-        if not self._fault_noted:
-            self._fault_noted = True
-            machine = self._machine
-            if machine is not None:
-                machine.note_injected_fault(
-                    "TaintPipelineOverflow",
-                    f"taint event ring exceeded depth {self.max_queue_depth}; "
-                    "soft-drop degrading to page-granular overtaint",
-                    journal=False,
-                )
-        ot_recs, ot_refs = self._degrade(recs, refs)
-        if ot_recs:
-            self._dispatch(ot_recs, ot_refs)
-
-    def _degrade(self, recs: array, refs: List[Optional[Tag]]) -> Tuple[array, List[Optional[Tag]]]:
-        """Collapse one event's records to page-granular overtaint."""
-        shift = SHADOW_PAGE_SHIFT
-        size = _SHADOW_PAGE_SIZE
-        out = array("q")
-        out_refs: List[Optional[Tag]] = []
-        overtainted = self._overtainted_pages
-        pending = self._pending_revalidation
-        for i in range(0, len(recs), RECORD_SLOTS):
-            kind = recs[i] & KIND_MASK
-            a, b = recs[i + 1], recs[i + 2]
-            if kind == EV_APPEND:
-                ref = recs[i + 5]
-                tag = refs[ref] if ref >= 0 else None
-                out_refs.append(tag)
-                tag_ref = len(out_refs) - 1
-                for page in range(a >> shift, ((a + b - 1) >> shift) + 1):
-                    out.extend((EV_OVERTAINT, page << shift, size, 0, 0, tag_ref))
-                    overtainted.add(page)
-                    pending.add(page)
-            elif kind == EV_COPY:
-                length = recs[i + 3]
-                ref = recs[i + 5]
-                tag_ref = -1
-                if ref >= 0:
-                    out_refs.append(refs[ref])
-                    tag_ref = len(out_refs) - 1
-                dst_page = (a >> shift) << shift
-                dst_span = ((((a + length - 1) >> shift) + 1) << shift) - dst_page
-                src_page = (b >> shift) << shift
-                src_span = ((((b + length - 1) >> shift) + 1) << shift) - src_page
-                out.extend((EV_OVERTAINT_COPY, dst_page, dst_span, src_page, src_span, tag_ref))
-                for page in range(a >> shift, ((a + length - 1) >> shift) + 1):
-                    overtainted.add(page)
-                    pending.add(page)
-            # EV_CLEAR / EV_WRITE / EV_FREE degrade to nothing: keeping
-            # stale taint can only over-report, never under-report.
-        if len(out):
-            out[-RECORD_SLOTS] |= FLAG_LAST
-        return out, out_refs
-
-    def revalidate_dropped(self) -> int:
-        """Recompute flag-cache summaries for soft-dropped pages.
-
-        Called from the detector's confluence path: pages whose precise
-        event stream was degraded carry conservative (possibly stale)
-        state, so their per-page summary words are forced to recompute
-        before any pre-check trusts them.  Returns the number of pages
-        revalidated.
+        Kept so external span wrappers that look the method up on the
+        class still find it.
         """
-        pending = self._pending_revalidation
-        if not pending:
-            return 0
-        shadow = getattr(self.sink, "shadow", None)
-        if shadow is not None and hasattr(shadow, "page_summary"):
-            for page in sorted(pending):
-                shadow.page_summary(page)
-        count = len(pending)
-        self.revalidations += count
-        pending.clear()
-        return count
-
-    @property
-    def needs_revalidation(self) -> bool:
-        return bool(self._pending_revalidation)
-
-    def pre_confluence(self) -> None:
-        """The detector-side barrier: drain, then revalidate drops."""
-        if self._queue:
-            self.drain()
-        if self._pending_revalidation:
-            self.revalidate_dropped()
 
     # ------------------------------------------------------------------
     # plugin hooks: the machine side of the pipeline
     # ------------------------------------------------------------------
-
-    def on_machine_start(self, machine) -> None:
-        self._machine = machine
-        if not self._mode_explicit:
-            configured = getattr(machine.config, "taint_pipeline", None)
-            if configured:
-                self.set_mode(configured)
-                self._mode_explicit = False
-
-    def on_machine_stop(self, machine) -> None:
-        try:
-            self.sync()
-        except EmulatorFault as fault:
-            # The run loop already returned; record the trip through the
-            # non-terminal fault plumbing so the report degrades instead
-            # of a host exception escaping machine.run().
-            machine.note_injected_fault(type(fault).__name__, str(fault), journal=False)
 
     def on_phys_write(self, machine, paddrs, source: str) -> None:
         self.phys_write(paddrs, source)
@@ -567,196 +242,9 @@ class TaintPipeline(Plugin):
     def on_frames_freed(self, machine, frames) -> None:
         self.frames_freed(frames)
 
-    def wants_insn_effects(self) -> bool:
-        """Never wants effects itself -- but the machine's ask *is* the
-        slice/post-syscall consistency point, so drain here.  The plugin
-        manager registers the pipeline ahead of its owning tracker, so
-        by the time the tracker's own gate probes shadow state every
-        queued seed has been applied (no under-instrumented slices)."""
-        if self._queue:
-            self.drain()
-        return False
-
-    # ------------------------------------------------------------------
-    # the worker consumer
-    # ------------------------------------------------------------------
-
-    def _ship(self, batch: EventBatch) -> None:
-        worker = self._worker
-        if worker is None:
-            if self.worker_error is not None:
-                return
-            try:
-                worker = self._worker = _PipelineWorker()
-            except (ImportError, OSError, ValueError) as exc:
-                self.worker_error = f"worker unavailable: {exc}"
-                return
-        try:
-            worker.send(batch)
-            self._shipped_records += len(batch)
-        except (OSError, BrokenPipeError) as exc:
-            self.worker_error = f"worker channel broke: {exc}"
-
-    def close(self, collect: bool = True) -> Optional[dict]:
-        """Flush, stop the worker, and cross-check its consumption.
-
-        Returns the worker's summary (consumed-record count, replica
-        tracker counters, and shadow snapshot) in worker mode, else
-        None.  A consumed-count mismatch is recorded in
-        :attr:`worker_error` rather than raised -- callers that require
-        strict agreement (the benchmark) assert on the summary.
-        """
-        self.sync()
-        worker = self._worker
-        if worker is None:
-            return None
-        self._worker = None
-        summary = worker.finish(collect=collect)
-        shipped = self._shipped_records
-        # A later emission would lazily fork a fresh worker whose count
-        # restarts at zero; restart the producer's ledger with it.
-        self._shipped_records = 0
-        if summary is None:
-            self.worker_error = self.worker_error or "worker returned no summary"
-        else:
-            self.worker_summary = summary
-            if summary["records"] != shipped:
-                self.worker_error = (
-                    f"worker consumed {summary['records']} records, "
-                    f"producer shipped {shipped}"
-                )
-        return summary
-
-
-class _PipelineWorker:
-    """The per-guest asynchronous consumer: a forked replica sink.
-
-    Reuses the triage engine's picklable-channel idiom: a fork-context
-    process fed through a one-way pipe, with a shared consumed-record
-    counter the producer polls for the lag gauge."""
-
-    def __init__(self) -> None:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        self._consumed = ctx.Value("q", 0, lock=False)
-        self._parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self._proc = ctx.Process(
-            target=_pipeline_worker_main,
-            args=(child_conn, self._consumed),
-            daemon=True,
-        )
-        self._proc.start()
-        child_conn.close()
-
-    def send(self, batch: EventBatch) -> None:
-        self._parent_conn.send(
-            ("batch", batch.version, batch.records.tobytes(), batch.refs)
-        )
-
-    def consumed(self) -> int:
-        return self._consumed.value
-
-    def finish(self, collect: bool = True, timeout: float = 30.0) -> Optional[dict]:
-        summary = None
-        try:
-            self._parent_conn.send(("finish", collect))
-            if self._parent_conn.poll(timeout):
-                summary = self._parent_conn.recv()
-        except (OSError, EOFError, BrokenPipeError):
-            summary = None
-        finally:
-            try:
-                self._parent_conn.close()
-            except OSError:
-                pass
-            self._proc.join(timeout=5.0)
-            if self._proc.is_alive():  # pragma: no cover - hang backstop
-                self._proc.terminate()
-                self._proc.join(timeout=5.0)
-        return summary
-
-
-def _pipeline_worker_main(conn, consumed) -> None:  # pragma: no cover - subprocess
-    """Child entry: apply every shipped batch to a fresh replica tracker."""
-    from dataclasses import astuple
-
-    from repro.taint.intern import ProvInterner
-    from repro.taint.tracker import TaintTracker
-
-    replica = TaintTracker(interner=ProvInterner())
-    records = 0
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg[0] == "finish":
-            collect = msg[1]
-            summary = {
-                "records": records,
-                "tainted_bytes": replica.shadow.tainted_bytes,
-                "stats": astuple(replica.stats),
-                "interner": (replica.interner.hits, replica.interner.misses),
-            }
-            if collect:
-                summary["snapshot"] = replica.shadow.snapshot()
-            try:
-                conn.send(summary)
-            except (OSError, BrokenPipeError):
-                pass
-            break
-        _, version, raw, refs = msg
-        recs = array("q")
-        recs.frombytes(raw)
-        replica.consume(EventBatch(recs, refs, version))
-        records += len(recs) // RECORD_SLOTS
-        consumed.value = records
-    conn.close()
-
 
 def register_pipeline_metrics(registry, pipeline: TaintPipeline) -> None:
-    """Publish the pipeline's backpressure gauges into *registry*.
-
-    ``taint.pipeline.lag_ticks`` is inherently nondeterministic in
-    worker mode (it races the consumer process); determinism-sensitive
-    comparisons must exclude it, like the ``translate.*`` gauges.
-    """
-    registry.gauge("taint.pipeline.depth", lambda: pipeline.depth)
-    registry.gauge("taint.pipeline.drops", lambda: pipeline.drops)
-    registry.gauge("taint.pipeline.dropped_records", lambda: pipeline.dropped_records)
-    registry.gauge("taint.pipeline.overtainted_pages", lambda: pipeline.overtainted_pages)
-    registry.gauge("taint.pipeline.lag_ticks", lambda: pipeline.lag_records)
+    """Publish the pipeline's producer/consumer record ledgers into *registry*."""
     registry.gauge("taint.pipeline.emitted_events", lambda: pipeline.emitted_events)
     registry.gauge("taint.pipeline.emitted_records", lambda: pipeline.emitted_records)
     registry.gauge("taint.pipeline.consumed_records", lambda: pipeline.consumed_records)
-    registry.gauge("taint.pipeline.revalidations", lambda: pipeline.revalidations)
-
-
-def deprecated_channel_method(replacement: str):
-    """Decorator for the legacy per-channel tracker entry points.
-
-    The wrapped method warns (the test suite promotes the warning to an
-    error via ``filterwarnings``), then forwards to the pipeline so
-    out-of-tree callers keep working.  The marker attribute tells
-    :class:`~repro.emulator.plugins.PluginManager` not to wire the shim
-    as a hook -- the auto-registered pipeline owns the channel hooks.
-    """
-
-    def decorate(fn):
-        import functools
-
-        @functools.wraps(fn)
-        def shim(self, *args, **kwargs):
-            warnings.warn(
-                f"{type(self).__name__}.{fn.__name__} is deprecated; "
-                f"use {replacement} (the TaintEvent/TaintSink API)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return fn(self, *args, **kwargs)
-
-        shim.__deprecated_channel_shim__ = True
-        return shim
-
-    return decorate

@@ -58,14 +58,6 @@ class TaintPolicy:
     #: degrade the host.  None disables.
     max_prov_nodes: "int | None" = None
 
-    #: Bounded-FIFO depth (in packed records) for the decoupled taint
-    #: pipeline's batched/worker transports.  When the ring would exceed
-    #: this, the oldest queued events soft-drop to page-granular
-    #: overtainting (conservative: over-reports, never under-reports)
-    #: and the run is flagged degraded.  None = unbounded ring, no
-    #: drops; ignored by the ``inline`` transport.
-    max_queue_depth: "int | None" = None
-
     @property
     def has_taint_budget(self) -> bool:
         """True when any taint-budget watchdog is armed."""

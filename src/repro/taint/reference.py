@@ -42,16 +42,12 @@ from repro.taint.pipeline import (
     EV_CLEAR,
     EV_COPY,
     EV_FREE,
-    EV_OVERTAINT,
-    EV_OVERTAINT_COPY,
     EV_WRITE,
     FLAG_LAST,
     KIND_MASK,
     RECORD_SLOTS,
     EventBatch,
     TaintPipeline,
-    check_protocol,
-    deprecated_channel_method,
 )
 from repro.taint.policy import TaintPolicy
 from repro.taint.provenance import EMPTY, append_tag, prov_union, union_all
@@ -126,7 +122,6 @@ class ReferenceTaintTracker(Plugin):
         self,
         policy: Optional[TaintPolicy] = None,
         tags: Optional[TagStore] = None,
-        taint_pipeline: Optional[str] = None,
     ) -> None:
         super().__init__()
         self.policy = policy or TaintPolicy()
@@ -137,13 +132,8 @@ class ReferenceTaintTracker(Plugin):
         self._load_listeners: List[LoadListener] = []
         self._pending_control: Dict[int, List] = {}
         #: Same transport as the fast tracker: the oracle consumes the
-        #: identical versioned event stream (byte-at-a-time), so the
-        #: differential matrix covers every pipeline mode end to end.
-        self.pipeline = TaintPipeline(
-            self,
-            mode=taint_pipeline,
-            max_queue_depth=self.policy.max_queue_depth,
-        )
+        #: identical event stream, byte-at-a-time.
+        self.pipeline = TaintPipeline(self)
 
     # ------------------------------------------------------------------
     # wiring (same surface as the fast tracker)
@@ -164,7 +154,6 @@ class ReferenceTaintTracker(Plugin):
     def consume(self, batch: EventBatch) -> None:
         """Apply one event batch byte-at-a-time -- the semantic spec the
         fast tracker's bulk ``consume`` is held bit-identical to."""
-        check_protocol(batch)
         recs = batch.records
         refs = batch.refs
         shadow = self.shadow
@@ -175,7 +164,7 @@ class ReferenceTaintTracker(Plugin):
             kind = code & KIND_MASK
             a = recs[i + 1]
             b = recs[i + 2]
-            if kind == EV_APPEND or kind == EV_OVERTAINT:
+            if kind == EV_APPEND:
                 tag = refs[recs[i + 5]]
                 for paddr in range(a, a + b):
                     shadow.set(paddr, append_tag(shadow.get(paddr), tag))
@@ -200,55 +189,19 @@ class ReferenceTaintTracker(Plugin):
             elif kind == EV_FREE:
                 for frame in range(a, a + b):
                     shadow.clear_range(frame << PAGE_SHIFT, PAGE_SIZE)
-            elif kind == EV_OVERTAINT_COPY:
-                prov = shadow.get_range(recs[i + 3], recs[i + 4])
-                tags = list(prov)
-                ref = recs[i + 5]
-                if ref >= 0:
-                    tags.append(refs[ref])
-                for tag in tags:
-                    for paddr in range(a, a + b):
-                        shadow.set(paddr, append_tag(shadow.get(paddr), tag))
             else:
                 raise ValueError(f"unknown taint event kind {kind}")
             i += RECORD_SLOTS
 
     # ------------------------------------------------------------------
-    # deprecated direct-call shims (same surface as the fast tracker)
+    # provenance queries (same surface as the fast tracker)
     # ------------------------------------------------------------------
 
-    @deprecated_channel_method("TaintPipeline.taint")
-    def taint_range(self, paddrs: Sequence[int], tag: Tag) -> None:
-        self.pipeline.taint(paddrs, tag)
-        self.pipeline.sync()
-
     def prov_at(self, paddr: int) -> Prov:
-        self.pipeline.sync()
         return self.shadow.get(paddr)
 
     def prov_of_range(self, paddrs: Sequence[int]) -> Prov:
-        self.pipeline.sync()
         return self.shadow.get_bytes(paddrs)
-
-    @deprecated_channel_method("TaintPipeline.clear")
-    def clear_range(self, paddrs: Sequence[int]) -> None:
-        self.pipeline.clear(paddrs)
-        self.pipeline.sync()
-
-    @deprecated_channel_method("TaintPipeline.phys_write")
-    def on_phys_write(self, machine, paddrs, source: str) -> None:
-        self.pipeline.phys_write(paddrs, source)
-        self.pipeline.sync()
-
-    @deprecated_channel_method("TaintPipeline.phys_copy")
-    def on_phys_copy(self, machine, dst_paddrs, src_paddrs, actor=None) -> None:
-        self.pipeline.phys_copy(dst_paddrs, src_paddrs, self.resolve_actor_tag(actor))
-        self.pipeline.sync()
-
-    @deprecated_channel_method("TaintPipeline.frames_freed")
-    def on_frames_freed(self, machine, frames) -> None:
-        self.pipeline.frames_freed(frames)
-        self.pipeline.sync()
 
     def on_process_exit(self, machine, process, status) -> None:
         for thread in process.threads:

@@ -54,16 +54,12 @@ from repro.taint.pipeline import (
     EV_CLEAR,
     EV_COPY,
     EV_FREE,
-    EV_OVERTAINT,
-    EV_OVERTAINT_COPY,
     EV_WRITE,
     FLAG_LAST,
     KIND_MASK,
     RECORD_SLOTS,
     EventBatch,
     TaintPipeline,
-    check_protocol,
-    deprecated_channel_method,
     register_pipeline_metrics,
 )
 from repro.taint.policy import TaintPolicy
@@ -193,7 +189,6 @@ class TaintTracker(Plugin):
         tags: Optional[TagStore] = None,
         interner: Optional[ProvInterner] = None,
         shadow_mode: str = "auto",
-        taint_pipeline: Optional[str] = None,
     ) -> None:
         super().__init__()
         self.policy = policy or TaintPolicy()
@@ -222,15 +217,9 @@ class TaintTracker(Plugin):
         #: The channel-event transport feeding this tracker.  The plugin
         #: manager auto-registers it in front of the tracker, so machine
         #: channel events (external writes, kernel copies, frame frees)
-        #: and FAROS' tag-insertion hooks flow through the versioned
-        #: TaintEvent protocol into :meth:`consume` -- immediately in
-        #: ``inline`` mode, at consistency barriers in ``batched`` and
-        #: ``worker`` modes.
-        self.pipeline = TaintPipeline(
-            self,
-            mode=taint_pipeline,
-            max_queue_depth=self.policy.max_queue_depth,
-        )
+        #: and FAROS' tag-insertion hooks flow through the TaintEvent
+        #: protocol into :meth:`consume` as they are emitted.
+        self.pipeline = TaintPipeline(self)
 
     # ------------------------------------------------------------------
     # wiring for detection plugins
@@ -248,9 +237,7 @@ class TaintTracker(Plugin):
         """Mint the acting process' tag for a copy event, at emit time.
 
         Tag indices are assigned in mint order, so the pipeline resolves
-        the actor *when the event is produced*; deferring the mint to
-        consumption would reorder the tag store under batching and break
-        provenance-serialisation identity with the inline transport.
+        the actor *when the event is produced*.
         """
         if actor is None or not self.policy.process_tags_on_access:
             return None
@@ -259,14 +246,11 @@ class TaintTracker(Plugin):
     def consume(self, batch: EventBatch) -> None:
         """Apply one batch of packed channel events to shadow state.
 
-        Bit-identical to the retired direct-call API: bulk shadow ops
-        per contiguous run, per-*event* statistics and budget checks at
-        each FLAG_LAST record (exactly where the old per-call bumps and
-        checks sat), and the reference oracle's ``consume`` applies the
-        same records byte-at-a-time -- the differential matrix holds the
-        two together across every transport mode.
+        Bulk shadow ops per contiguous run, with per-*event* statistics
+        and budget checks at each FLAG_LAST record; the reference
+        oracle's ``consume`` applies the same records byte-at-a-time and
+        the differential matrix holds the two together.
         """
-        check_protocol(batch)
         recs = batch.records
         refs = batch.refs
         shadow = self.shadow
@@ -303,35 +287,13 @@ class TaintTracker(Plugin):
             elif kind == EV_FREE:
                 for frame in range(a, a + b):
                     shadow.clear_range(frame << PAGE_SHIFT, PAGE_SIZE)
-            elif kind == EV_OVERTAINT:
-                shadow.append_range(a, b, refs[recs[i + 5]])
-                if code & FLAG_LAST and budgeted:
-                    self._check_budget()
-            elif kind == EV_OVERTAINT_COPY:
-                # Soft-drop residue for a dropped copy: append the union
-                # of the spanned source pages' provenance (plus the
-                # actor tag) to the spanned destination pages.  A
-                # superset of any per-byte copy result -- conservative.
-                for tag in shadow.get_range(recs[i + 3], recs[i + 4]):
-                    shadow.append_range(a, b, tag)
-                ref = recs[i + 5]
-                if ref >= 0:
-                    shadow.append_range(a, b, refs[ref])
-                if code & FLAG_LAST and budgeted:
-                    self._check_budget()
             else:
                 raise ValueError(f"unknown taint event kind {kind}")
             i += RECORD_SLOTS
 
     # ------------------------------------------------------------------
-    # taint-source API (deprecated direct-call shims)
+    # budgets and provenance queries
     # ------------------------------------------------------------------
-
-    @deprecated_channel_method("TaintPipeline.taint")
-    def taint_range(self, paddrs: Sequence[int], tag: Tag) -> None:
-        """Deprecated: emit an append event via ``tracker.pipeline``."""
-        self.pipeline.taint(paddrs, tag)
-        self.pipeline.sync()
 
     def _check_budget(self) -> None:
         """Trip :class:`TaintBudgetExceeded` if a taint budget is blown.
@@ -352,45 +314,10 @@ class TaintTracker(Plugin):
                 raise TaintBudgetExceeded("provenance nodes", used, limit)
 
     def prov_at(self, paddr: int) -> Prov:
-        self.pipeline.sync()
         return self.shadow.get(paddr)
 
     def prov_of_range(self, paddrs: Sequence[int]) -> Prov:
-        self.pipeline.sync()
         return self.shadow.get_bytes(paddrs)
-
-    @deprecated_channel_method("TaintPipeline.clear")
-    def clear_range(self, paddrs: Sequence[int]) -> None:
-        """Deprecated: emit a clear event via ``tracker.pipeline``."""
-        self.pipeline.clear(paddrs)
-        self.pipeline.sync()
-
-    # ------------------------------------------------------------------
-    # non-instruction data movement (deprecated direct-call shims)
-    # ------------------------------------------------------------------
-    #
-    # The machine's physical channels now dispatch to the tracker's
-    # auto-registered TaintPipeline (the shim marker removes these from
-    # hook dispatch); the shims keep out-of-tree callers working, with
-    # a warning the test suite promotes to an error.
-
-    @deprecated_channel_method("TaintPipeline.phys_write")
-    def on_phys_write(self, machine, paddrs, source: str) -> None:
-        """Deprecated: emit a write event via ``tracker.pipeline``."""
-        self.pipeline.phys_write(paddrs, source)
-        self.pipeline.sync()
-
-    @deprecated_channel_method("TaintPipeline.phys_copy")
-    def on_phys_copy(self, machine, dst_paddrs, src_paddrs, actor=None) -> None:
-        """Deprecated: emit a copy event via ``tracker.pipeline``."""
-        self.pipeline.phys_copy(dst_paddrs, src_paddrs, self.resolve_actor_tag(actor))
-        self.pipeline.sync()
-
-    @deprecated_channel_method("TaintPipeline.frames_freed")
-    def on_frames_freed(self, machine, frames) -> None:
-        """Deprecated: emit a free event via ``tracker.pipeline``."""
-        self.pipeline.frames_freed(frames)
-        self.pipeline.sync()
 
     def on_process_exit(self, machine, process, status) -> None:
         for thread in process.threads:

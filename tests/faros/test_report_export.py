@@ -111,30 +111,6 @@ class TestSummaryRoundTrip:
                 assert clone == chain
 
 
-class TestDeprecatedNames:
-    """The renamed export pair keeps working under the old names, with a
-    DeprecationWarning pointing at the replacement."""
-
-    def test_report_to_dict_shim(self, report):
-        with pytest.warns(DeprecationWarning, match="to_json_dict"):
-            old = report.to_dict()
-        assert old == report.to_json_dict()
-
-    def test_summary_from_dict_shim(self, report):
-        wire = report.to_json_dict()
-        with pytest.warns(DeprecationWarning, match="from_json_dict"):
-            rebuilt = ReportSummary.from_dict(wire)
-        assert rebuilt == report.summary()
-
-    def test_chain_shims(self, report):
-        chain = report.chains()[0]
-        with pytest.warns(DeprecationWarning):
-            d = chain.to_dict()
-        with pytest.warns(DeprecationWarning):
-            clone = ProvenanceChain.from_dict(d)
-        assert clone == chain
-
-
 class TestCliJson:
     def test_timeline_json_flag(self, capsys):
         from repro.cli import main

@@ -118,6 +118,36 @@ def test_malformed_and_unknown_priority_submissions_reject(tmp_path):
     assert malformed["rec"] == "reject"
 
 
+def _submit_unjournaled(tmp_path, job_dict):
+    """Submit one job; return its reply and the journal's accepted ids."""
+    config = _config(tmp_path)
+    service = TriageService(config)
+    try:
+        reply = service.submit(job_dict)
+    finally:
+        _stop(service)
+    return reply, list(JobJournal.replay(config.journal_path).accepted)
+
+
+def test_unknown_job_kind_rejects_before_journaling(tmp_path):
+    reply, accepted = _submit_unjournaled(
+        tmp_path, {"job_id": 1, "name": "x", "kind": "no-such-kind"})
+    assert reply["rec"] == "reject"
+    assert reply["reason"].startswith("malformed job: ")
+    assert "no-such-kind" in reply["reason"]
+    assert accepted == []
+
+
+def test_unknown_job_param_rejects_before_journaling(tmp_path):
+    reply, accepted = _submit_unjournaled(
+        tmp_path, {"job_id": 2, "name": "x", "kind": "attack",
+                   "params": {"attack": "code_injection", "bogus": 1}})
+    assert reply["rec"] == "reject"
+    assert reply["reason"].startswith("malformed job: ")
+    assert "bogus" in reply["reason"]
+    assert accepted == []
+
+
 def test_resubmission_of_done_job_replays_the_stored_row(tmp_path):
     log = str(tmp_path / "log")
     service = TriageService(_config(tmp_path))

@@ -47,8 +47,6 @@ the fast path legitimately skips all-clean instructions, which can never
 contribute to a confluence verdict.
 """
 
-from dataclasses import astuple
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -736,139 +734,3 @@ class TestProgramRepresentationMatrix:
     @settings(max_examples=150, deadline=None)
     def test_exhaustive(self, body, policy, seeds):
         run_representation_matrix(body, policy, seeds)
-
-
-# ======================================================================
-# 7. pipeline-transport matrix: inline vs batched vs worker
-# ======================================================================
-
-
-def run_pipeline_matrix(body, policy, seeds, modes=("inline", "batched")):
-    """The translate matrix again, across event-transport modes.
-
-    Drop-free batched/worker runs queue channel events and drain them at
-    the machine's consistency barriers; they must stay bit-identical to
-    the inline transport down to interner counters, retirement splits
-    and tainted-load observations.
-    """
-    legs = {}
-    for mode in modes:
-        tracker = TaintTracker(
-            policy=policy, interner=ProvInterner(), taint_pipeline=mode
-        )
-        machine, obs = run_single(body, policy, seeds, tracker, translate=True)
-        legs[mode] = (machine, tracker, obs)
-
-    machine_b, base, obs_b = legs[modes[0]]
-    for mode in modes[1:]:
-        machine_m, tracker, obs_m = legs[mode]
-        pipe = tracker.pipeline
-        assert pipe.drops == 0, f"{mode}: a drop-free run soft-dropped"
-        assert pipe.depth == 0, f"{mode}: events left queued after the run"
-        assert machine_m.now == machine_b.now
-        assert tracker.shadow.snapshot() == base.shadow.snapshot(), mode
-        assert tracker.shadow.tainted_bytes == base.shadow.tainted_bytes, mode
-        assert tracker.banks.snapshot() == base.banks.snapshot(), mode
-        assert tracker.stats.instructions == base.stats.instructions, mode
-        assert tracker.stats.fast_retirements == base.stats.fast_retirements, mode
-        assert tracker.stats.slow_retirements == base.stats.slow_retirements, mode
-        assert tracker.stats.external_writes == base.stats.external_writes, mode
-        assert tracker.stats.kernel_copies == base.stats.kernel_copies, mode
-        assert (
-            tracker.stats.process_tag_appends == base.stats.process_tag_appends
-        ), mode
-        assert (tracker.interner.hits, tracker.interner.misses) == (
-            base.interner.hits,
-            base.interner.misses,
-        ), f"interner call sequences diverged in pipeline mode {mode}"
-        assert tainted_observations(obs_m) == tainted_observations(obs_b), mode
-        if mode == "worker":
-            summary = pipe.close()
-            assert pipe.worker_error is None, pipe.worker_error
-            assert summary is not None and summary["records"] > 0
-
-
-class TestPipelineTransportDifferential:
-    @given(body=guest_programs(), policy=policies, seeds=seed_choices)
-    @settings(max_examples=20, deadline=None)
-    def test_quick_batched(self, body, policy, seeds):
-        run_pipeline_matrix(body, policy, seeds)
-
-    def test_worker_leg_fixed_program(self):
-        """One deterministic program through all three transports; the
-        worker leg forks a consumer process, so it runs once, not per
-        hypothesis example."""
-        body = "\n".join(
-            [
-                "start:",
-                "    movi r6, in_a",
-                "    ld r1, [r6]",
-                "    movi r6, in_b",
-                "    ld r2, [r6]",
-                "    add r3, r1, r2",
-                "    movi r6, buf",
-                "    st [r6], r3",
-                "    ld r4, [r6]",
-                "    push r4",
-                "    pop r5",
-                "    movi r6, out",
-                "    st [r6], r5",
-                "    jmp park",
-                "pad_data: .space 8192",
-                "in_a: .word 0x1234",
-                "in_b: .word 0xbeef",
-                "buf: .space 32",
-                "out: .space 20",
-            ]
-        )
-        run_pipeline_matrix(
-            body, TaintPolicy(), "ab", modes=("inline", "batched", "worker")
-        )
-
-    @pytest.mark.slow
-    @given(body=guest_programs(), policy=policies, seeds=seed_choices)
-    @settings(max_examples=100, deadline=None)
-    def test_exhaustive_batched(self, body, policy, seeds):
-        run_pipeline_matrix(body, policy, seeds)
-
-    @pytest.mark.slow
-    @given(body=guest_programs(), policy=policies, seeds=seed_choices)
-    @settings(max_examples=25, deadline=None)
-    def test_exhaustive_worker(self, body, policy, seeds):
-        run_pipeline_matrix(body, policy, seeds, modes=("inline", "worker"))
-
-    @staticmethod
-    def assert_attack_identical(name, mode):
-        """A real attack replay through a non-inline transport must be
-        bit-identical to inline: verdict, delivery journal, rendered
-        report, shadow state, stats and interner call sequences."""
-        base = Faros()
-        machine_base = ATTACKS[name]().scenario.run(plugins=[base])
-        alt = Faros(taint_pipeline=mode)
-        machine_alt = ATTACKS[name]().scenario.run(plugins=[alt])
-        assert alt.pipeline.drops == 0
-        assert alt.pipeline.depth == 0
-        assert base.attack_detected and alt.attack_detected
-        assert [(at, repr(ev)) for at, ev in machine_alt.journal] == [
-            (at, repr(ev)) for at, ev in machine_base.journal
-        ]
-        assert alt.report().to_json_dict() == base.report().to_json_dict()
-        assert alt.report().render() == base.report().render()
-        assert flag_keys(alt) == flag_keys(base)
-        assert alt.tracker.shadow.snapshot() == base.tracker.shadow.snapshot()
-        assert astuple(alt.tracker.stats) == astuple(base.tracker.stats)
-        assert (alt.tracker.interner.hits, alt.tracker.interner.misses) == (
-            base.tracker.interner.hits,
-            base.tracker.interner.misses,
-        ), f"interner call sequences diverged on {name} under {mode}"
-
-    @pytest.mark.parametrize("name", sorted(ATTACKS))
-    def test_attack_corpus_bit_identical_batched(self, name):
-        self.assert_attack_identical(name, "batched")
-
-    # The worker leg forks a consumer per run, so it covers two
-    # representative families rather than the whole corpus; the slow
-    # suite's randomized worker matrix backs up the rest.
-    @pytest.mark.parametrize("name", ["code_injection", "reflective_dll"])
-    def test_attack_corpus_bit_identical_worker(self, name):
-        self.assert_attack_identical(name, "worker")

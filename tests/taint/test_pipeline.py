@@ -1,43 +1,17 @@
-"""The decoupled taint pipeline: wire format, transports, soft drop.
-
-Four layers, mirroring the module's contract:
+"""The taint event stream: wire format and machine channel hooks.
 
 * **wire format** -- hypothesis round-trips random channel-op sequences
   through the packed record stream, checking kind/run decomposition,
-  ``FLAG_LAST`` placement, tag side-table resolution, and that a
-  batched drain (which concatenates queued events and remaps their ref
-  indices) decodes to exactly the inline event sequence;
-* **transport equivalence** -- drop-free batched and worker runs must be
-  bit-identical to inline down to shadow snapshots, per-event stats and
-  interner counters (the instruction-stream legs live in
-  ``test_differential.py``; these cover the channel-only paths);
-* **soft drop** -- under a tiny FIFO the degraded run must *overtaint*:
-  every byte's inline provenance is a subset of its degraded
-  provenance, never the other way around, and the loss is visible in
-  the drop gauges;
-* **backpressure end-to-end** -- a ``FaultPlan`` with a 2-record queue
-  drives a real attack replay into soft drop: the run flags itself
-  degraded with a ``TaintPipelineOverflow`` fault record, publishes
-  the ``taint.pipeline.*`` gauges, revalidates dropped pages, and the
-  attack is still detected (conservatism means no missed detections).
-
-The deprecated per-channel tracker methods are covered at the bottom:
-they must warn (the suite promotes ``DeprecationWarning`` to an error),
-still forward for out-of-tree callers, and stay out of machine hook
-dispatch so channel events are never double-applied.
+  ``FLAG_LAST`` placement and tag side-table resolution;
+* **channel hooks** -- the machine's physical channels reach the
+  tracker through its auto-registered pipeline exactly once, and the
+  pipeline's record ledgers are published as gauges.
 """
 
-import warnings
-from array import array
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks import build_code_injection_scenario
 from repro.emulator.machine import Machine, MachineConfig
-from repro.faros import Faros
-from repro.faults.plan import FaultPlan
 from repro.isa.memory import contiguous_runs
 from repro.obs.metrics import MetricsRegistry
 from repro.taint.intern import ProvInterner
@@ -48,17 +22,13 @@ from repro.taint.pipeline import (
     EV_FREE,
     EV_WRITE,
     FLAG_LAST,
-    PROTOCOL_VERSION,
     RECORD_SLOTS,
-    EventBatch,
     TaintPipeline,
     TaintSink,
-    check_protocol,
 )
-from repro.taint.policy import TaintPolicy
 from repro.taint.shadow import SHADOW_PAGE_SHIFT
 from repro.taint.tags import Tag, TagType
-from repro.taint.tracker import TaintTracker
+from repro.taint.tracker import TaintTracker, register_tracker_metrics
 
 TAGS = (
     Tag(TagType.NETFLOW, 0),
@@ -70,7 +40,7 @@ TAGS = (
 SHADOW_PAGE_SIZE = 1 << SHADOW_PAGE_SHIFT
 
 # ======================================================================
-# channel-op strategies (shared by the wire-format and transport tests)
+# channel-op strategies
 # ======================================================================
 
 #: A few shadow pages of scratch physical space.
@@ -144,7 +114,6 @@ class RecordingSink(TaintSink):
         self.batches = []
 
     def consume(self, batch):
-        check_protocol(batch)
         self.batches.append(batch)
 
     def decoded(self):
@@ -156,7 +125,7 @@ class RecordingSink(TaintSink):
 
 
 # ======================================================================
-# 1. wire format: round trip, ordering, FLAG_LAST, ref remapping
+# 1. wire format: round trip, ordering, FLAG_LAST
 # ======================================================================
 
 
@@ -173,24 +142,6 @@ class TestWireFormat:
         assert sink.decoded() == expected
         assert pipeline.emitted_records == sum(len(b) for b in sink.batches)
 
-    @given(ops=channel_ops)
-    @settings(max_examples=60, deadline=None)
-    def test_batched_drain_preserves_order_and_refs(self, ops):
-        """One drained mega-batch decodes to the inline event sequence.
-
-        This is the ref-remapping property: drain concatenates queued
-        events into one record array and rebases each event's side-table
-        indices, so a tag reference must survive the merge.
-        """
-        sink = RecordingSink()
-        pipeline = TaintPipeline(sink, mode="batched")
-        for op in ops:
-            emit(pipeline, op)
-        assert sink.batches == []  # nothing consumed before the barrier
-        pipeline.sync()
-        assert sink.decoded() == [ev for op in ops for ev in expected_events(op)]
-        assert pipeline.depth == 0
-
     def test_every_event_ends_with_flag_last(self):
         sink = RecordingSink()
         pipeline = TaintPipeline(sink)
@@ -199,296 +150,18 @@ class TestWireFormat:
         (batch,) = sink.batches
         codes = batch.records[0::RECORD_SLOTS]
         assert [bool(c & FLAG_LAST) for c in codes] == [False, False, True]
-
-    def test_version_mismatch_is_rejected(self):
-        tracker = TaintTracker(interner=ProvInterner())
-        stale = EventBatch(
-            array("q", (EV_APPEND | FLAG_LAST, 0, 4, 0, 0, 0)),
-            [TAGS[0]],
-            version=PROTOCOL_VERSION + 1,
-        )
-        with pytest.raises(ValueError, match="protocol"):
-            tracker.consume(stale)
-        with pytest.raises(ValueError, match="protocol"):
-            check_protocol(stale)
-
-    def test_unknown_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="pipeline mode"):
-            TaintPipeline(RecordingSink(), mode="async")
-        with pytest.raises(ValueError, match="offload"):
-            TaintPipeline(RecordingSink(), mode="worker", offload=True)
+        assert pipeline.consumed_records == pipeline.emitted_records == 3
 
 
 # ======================================================================
-# 2. transport equivalence: drop-free batched/worker == inline
+# 2. channel hooks: machine -> pipeline -> tracker
 # ======================================================================
 
 
-def apply_ops(tracker, ops):
-    for op in ops:
-        emit(tracker.pipeline, op)
-    tracker.pipeline.sync()
-
-
-def assert_channel_identical(a, b):
-    assert a.shadow.snapshot() == b.shadow.snapshot()
-    assert a.shadow.tainted_bytes == b.shadow.tainted_bytes
-    assert a.stats.kernel_copies == b.stats.kernel_copies
-    assert a.stats.external_writes == b.stats.external_writes
-    assert a.stats.process_tag_appends == b.stats.process_tag_appends
-    assert (a.interner.hits, a.interner.misses) == (
-        b.interner.hits,
-        b.interner.misses,
-    ), "interner call sequences diverged between transports"
-
-
-class TestTransportEquivalence:
-    @given(ops=channel_ops)
-    @settings(max_examples=60, deadline=None)
-    def test_batched_matches_inline(self, ops):
-        inline = TaintTracker(interner=ProvInterner())
-        batched = TaintTracker(interner=ProvInterner(), taint_pipeline="batched")
-        apply_ops(inline, ops)
-        apply_ops(batched, ops)
-        assert_channel_identical(batched, inline)
-
-    def test_worker_replica_matches_local_sink(self):
-        """The forked consumer ends the run byte-identical to the local
-        sink, and the producer/consumer record ledgers agree."""
-        ops = [
-            ("taint", tuple(range(0, 64)), TAGS[0]),
-            ("taint", (100, 101, 300, 301, 5000), TAGS[1]),
-            ("copy", 200, 0, 32, TAGS[2]),
-            ("write", tuple(range(16, 24))),
-            ("clear", (100,)),
-            ("free", (3,)),
-        ]
-        local = TaintTracker(interner=ProvInterner(), taint_pipeline="worker")
-        apply_ops(local, ops)
-        summary = local.pipeline.close()
-        assert local.pipeline.worker_error is None
-        assert summary is not None
-        assert summary["records"] == local.pipeline.emitted_records
-        assert summary["tainted_bytes"] == local.shadow.tainted_bytes
-        assert summary["snapshot"] == local.shadow.snapshot()
-        assert local.pipeline.lag_records == 0
-
-    def test_offload_worker_is_the_only_consumer(self):
-        """With ``offload=True`` nothing is applied locally -- the
-        replica's snapshot is the authoritative result and must match a
-        fresh inline tracker fed the same stream."""
-        ops = [
-            ("taint", tuple(range(0, 48)), TAGS[0]),
-            ("copy", 128, 8, 16, None),
-            ("write", tuple(range(0, 8))),
-        ]
-        offload = TaintPipeline(None, mode="worker", offload=True)
-        for op in ops:
-            emit(offload, op)
-        summary = offload.close()
-        assert offload.worker_error is None
-        assert summary["records"] == offload.emitted_records
-        oracle = TaintTracker(interner=ProvInterner())
-        apply_ops(oracle, ops)
-        assert summary["snapshot"] == oracle.shadow.snapshot()
-        assert summary["tainted_bytes"] == oracle.shadow.tainted_bytes
-
-
-# ======================================================================
-# 3. soft drop: conservatism under a tiny FIFO
-# ======================================================================
-
-
-def prov_sets(tracker):
-    return {paddr: set(prov) for paddr, prov in tracker.shadow.snapshot().items()}
-
-
-class TestSoftDrop:
-    @given(ops=channel_ops, depth=st.integers(1, 4))
-    @settings(max_examples=60, deadline=None)
-    def test_degraded_taint_is_a_superset(self, ops, depth):
-        """Dropping may only *add* taint: every tag a byte carries in the
-        precise run it must also carry in the degraded run."""
-        inline = TaintTracker(interner=ProvInterner())
-        degraded = TaintTracker(
-            interner=ProvInterner(),
-            policy=TaintPolicy(max_queue_depth=depth),
-            taint_pipeline="batched",
-        )
-        apply_ops(inline, ops)
-        apply_ops(degraded, ops)
-        precise = prov_sets(inline)
-        coarse = prov_sets(degraded)
-        for paddr, tags in precise.items():
-            assert tags <= coarse.get(paddr, set()), (
-                f"byte {paddr:#x} lost taint under soft drop"
-            )
-        assert degraded.shadow.tainted_bytes >= inline.shadow.tainted_bytes
-        pipe = degraded.pipeline
-        assert pipe.dropped_records >= pipe.drops
-        if pipe.drops == 0:
-            assert pipe.overtainted_pages == 0
-            assert coarse == precise
-
-    def test_dropped_append_overtaints_every_spanned_page(self):
-        tracker = TaintTracker(
-            interner=ProvInterner(),
-            policy=TaintPolicy(max_queue_depth=1),
-            taint_pipeline="batched",
-        )
-        pipe = tracker.pipeline
-        # A 2-byte seed straddling a shadow-page boundary...
-        pipe.taint((SHADOW_PAGE_SIZE - 1, SHADOW_PAGE_SIZE), TAGS[0])
-        # ...evicted by the next event: both spanned pages overtaint.
-        pipe.taint((0,), TAGS[1])
-        pipe.sync()
-        assert pipe.drops == 1
-        assert pipe.overtainted_pages == 2
-        assert pipe.needs_revalidation
-        assert set(tracker.shadow.get(0)) == {TAGS[0], TAGS[1]}
-        assert tracker.shadow.get(2 * SHADOW_PAGE_SIZE - 1) == (TAGS[0],)
-        assert pipe.revalidate_dropped() == 2
-        assert not pipe.needs_revalidation
-
-    def test_dropped_clear_keeps_stale_taint(self):
-        tracker = TaintTracker(
-            interner=ProvInterner(),
-            policy=TaintPolicy(max_queue_depth=1),
-            taint_pipeline="batched",
-        )
-        pipe = tracker.pipeline
-        pipe.taint((0, 1, 2, 3), TAGS[0])
-        pipe.sync()
-        pipe.clear((0, 1, 2, 3))       # queued...
-        pipe.phys_write((8, 9), "x")   # ...evicts it: the clear is lost
-        pipe.sync()
-        assert pipe.drops == 1
-        assert pipe.overtainted_pages == 0  # clears degrade to nothing
-        assert tracker.shadow.get(0) == (TAGS[0],)  # stale, conservative
-
-    def test_oversized_event_on_empty_ring_is_exact(self):
-        """An event bigger than the whole FIFO, arriving on an empty
-        ring, is consumed synchronously -- never dropped."""
-        tracker = TaintTracker(
-            interner=ProvInterner(),
-            policy=TaintPolicy(max_queue_depth=2),
-            taint_pipeline="batched",
-        )
-        pipe = tracker.pipeline
-        # Five disjoint runs -> five records > depth 2.
-        pipe.taint((0, 10, 20, 30, 40), TAGS[0])
-        assert pipe.drops == 0
-        assert tracker.shadow.tainted_bytes == 5
-
-
-# ======================================================================
-# 4. backpressure end-to-end: FaultPlan -> degraded-but-detected replay
-# ======================================================================
-
-
-class TestBackpressureEndToEnd:
-    def test_fault_plan_forces_soft_drop_and_still_detects(self):
-        plan = FaultPlan(taint_pipeline="batched", max_queue_depth=2)
-        attack = build_code_injection_scenario()
-        scenario = plan.apply(attack.scenario)
-        registry = MetricsRegistry()
-        faros = Faros(policy=plan.taint_policy(), metrics=registry)
-        scenario.run(plugins=[faros])
-
-        # Soft drop engaged and the loss is observable.  (Boot-time
-        # bursts evict clear/write events -- which degrade to nothing --
-        # so the overtaint gauges are covered by the controlled-order
-        # test below, not asserted here.)
-        gauges = registry.snapshot()["gauges"]
-        assert gauges["taint.pipeline.drops"] > 0
-        assert gauges["taint.pipeline.dropped_records"] > 0
-        assert gauges["taint.pipeline.depth"] == 0  # everything drained
-
-        # The run rides the degradation contract: a populated fault
-        # record, a degraded report -- and the attack is still caught.
-        report = faros.report()
-        assert report.degraded
-        assert report.fault is not None
-        assert report.fault["kind"] == "TaintPipelineOverflow"
-        assert faros.attack_detected, "soft drop must never lose a detection"
-
-    def test_overtaint_gauges_fire_when_an_append_is_evicted(self):
-        from repro.taint.tracker import register_tracker_metrics
-
-        registry = MetricsRegistry()
-        tracker = TaintTracker(
-            interner=ProvInterner(),
-            policy=TaintPolicy(max_queue_depth=1),
-            taint_pipeline="batched",
-        )
-        register_tracker_metrics(registry, tracker)
-        tracker.pipeline.taint((0, 1), TAGS[0])      # queued...
-        tracker.pipeline.phys_write((64,), "dma")    # ...evicts the append
-        tracker.pipeline.pre_confluence()            # drain + revalidate
-        gauges = registry.snapshot()["gauges"]
-        assert gauges["taint.pipeline.drops"] == 1
-        assert gauges["taint.pipeline.overtainted_pages"] == 1
-        assert gauges["taint.pipeline.revalidations"] == 1
-
-    def test_drop_free_batched_replay_is_not_degraded(self):
-        attack = build_code_injection_scenario()
-        faros = Faros(taint_pipeline="batched")
-        attack.scenario.run(plugins=[faros])
-        assert faros.pipeline.drops == 0
-        assert not faros.report().degraded
-        assert faros.attack_detected
-
-
-# ======================================================================
-# 5. the deprecated per-channel tracker API
-# ======================================================================
-
-
-SHIMS = ("taint_range", "clear_range", "on_phys_write", "on_phys_copy",
-         "on_frames_freed")
-
-
-class TestDeprecatedChannelMethods:
-    @pytest.mark.parametrize("name", SHIMS)
-    def test_shims_are_marked_and_promoted_to_errors(self, name):
-        fn = getattr(TaintTracker, name)
-        assert getattr(fn, "__deprecated_channel_shim__", False)
-        tracker = TaintTracker(interner=ProvInterner())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DeprecationWarning):
-                if name == "taint_range":
-                    tracker.taint_range((0,), TAGS[0])
-                elif name == "clear_range":
-                    tracker.clear_range((0,))
-                elif name == "on_phys_write":
-                    tracker.on_phys_write(None, (0,), "x")
-                elif name == "on_phys_copy":
-                    tracker.on_phys_copy(None, (0,), (1,))
-                else:
-                    tracker.on_frames_freed(None, (0,))
-
-    def test_shims_still_forward_for_out_of_tree_callers(self):
-        tracker = TaintTracker(interner=ProvInterner())
-        with pytest.warns(DeprecationWarning):
-            tracker.taint_range(range(0, 8), TAGS[0])
-        assert tracker.shadow.tainted_bytes == 8
-        with pytest.warns(DeprecationWarning):
-            tracker.on_phys_copy(None, tuple(range(16, 24)), tuple(range(0, 8)))
-        assert tracker.shadow.get(16) == (TAGS[0],)
-        with pytest.warns(DeprecationWarning):
-            tracker.clear_range(range(0, 8))
-        assert tracker.shadow.get(0) == ()
-        with pytest.warns(DeprecationWarning):
-            tracker.on_phys_write(None, tuple(range(16, 24)), "dma")
-        assert tracker.shadow.tainted_bytes == 0
-        assert tracker.stats.external_writes == 1
-        assert tracker.stats.kernel_copies == 1
-
-    def test_machine_dispatch_skips_shims_no_double_application(self):
+class TestChannelHooks:
+    def test_machine_phys_write_applies_once(self):
         """The machine's channel hooks go to the auto-registered
-        pipeline, not the tracker's deprecated hook-named shims -- one
-        physical write must count exactly once."""
+        pipeline -- one physical write must count exactly once."""
         machine = Machine(MachineConfig())
         tracker = TaintTracker(interner=ProvInterner())
         machine.plugins.register(tracker)
@@ -496,3 +169,14 @@ class TestDeprecatedChannelMethods:
         machine.phys_write(tuple(range(0x2000, 0x2008)), b"\x00" * 8, source="t")
         assert tracker.stats.external_writes == 1
         assert tracker.shadow.tainted_bytes == 0
+
+    def test_record_ledgers_are_published(self):
+        registry = MetricsRegistry()
+        tracker = TaintTracker(interner=ProvInterner())
+        register_tracker_metrics(registry, tracker)
+        tracker.pipeline.taint((0, 1, 10), TAGS[0])
+        tracker.pipeline.phys_write((64,), "dma")
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["taint.pipeline.emitted_events"] == 2
+        assert gauges["taint.pipeline.emitted_records"] == 3
+        assert gauges["taint.pipeline.consumed_records"] == 3
