@@ -401,6 +401,14 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], Optional[dict]]] = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (exit 2 otherwise)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
+    return value
+
+
 def _add_json_flag(sub: argparse.ArgumentParser) -> None:
     """The uniform ``--json [OUT]`` contract every subcommand shares:
     bare ``--json`` means stdout, ``--json PATH`` writes a file."""
@@ -511,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="job journal path (created on first run, replayed on restart)",
     )
     serve.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
+        "--jobs", type=_positive_int, default=2, metavar="N",
         help="supervised worker processes (default 2)",
     )
     serve.add_argument(
@@ -519,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-job wall-clock timeout in seconds",
     )
     serve.add_argument(
-        "--max-inflight", type=int, default=None, metavar="N",
+        "--max-inflight", type=_positive_int, default=None, metavar="N",
         help="concurrent dispatched jobs (default: worker count)",
     )
     serve.add_argument(

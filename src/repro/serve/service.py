@@ -74,6 +74,14 @@ class ServeConfig:
     #: Outstanding (queued + in-flight) jobs per tenant; None = no quota.
     tenant_quota: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        # With no worker or no in-flight slot the dispatcher never runs
+        # a job, yet submits would still be accepted and journaled.
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1 (got {self.workers})")
+        if self.max_inflight is not None and self.max_inflight < 1:
+            raise ValueError(f"max_inflight must be >= 1 (got {self.max_inflight})")
+
 
 @dataclass
 class _QueueEntry:

@@ -158,14 +158,8 @@ def register_tracker_metrics(registry, tracker) -> None:
                 else 0.0
             ),
         )
-    if hasattr(shadow, "promotions"):
-        # Two-representation shadow: array-vs-dict occupancy, the
-        # promotion/demotion churn, and the flag-cache (summary word)
-        # service rate.
-        registry.gauge("taint.shadow.array_pages", lambda: shadow.array_page_count)
-        registry.gauge("taint.shadow.dict_pages", lambda: shadow.dict_page_count)
-        registry.gauge("taint.shadow.promotions", lambda: shadow.promotions)
-        registry.gauge("taint.shadow.demotions", lambda: shadow.demotions)
+    if hasattr(shadow, "summary_hits"):
+        # The flag-cache (summary word) service rate.
         registry.gauge("taint.shadow.flag_cache.hits", lambda: shadow.summary_hits)
         registry.gauge("taint.shadow.flag_cache.misses", lambda: shadow.summary_misses)
 
@@ -188,7 +182,6 @@ class TaintTracker(Plugin):
         policy: Optional[TaintPolicy] = None,
         tags: Optional[TagStore] = None,
         interner: Optional[ProvInterner] = None,
-        shadow_mode: str = "auto",
     ) -> None:
         super().__init__()
         self.policy = policy or TaintPolicy()
@@ -200,11 +193,7 @@ class TaintTracker(Plugin):
             # breaking the determinism contract faulted replays rely on.
             interner = ProvInterner()
         self.interner = interner if interner is not None else GLOBAL_INTERNER
-        # ``shadow_mode`` selects the page-representation policy
-        # ("auto" / "dict" / "array" / "mixed"); every mode is
-        # semantically identical -- the representation-differential
-        # matrix holds them bit-identical down to interner counters.
-        self.shadow = ShadowMemory(self.interner, mode=shadow_mode)
+        self.shadow = ShadowMemory(self.interner)
         self._max_tainted_bytes = self.policy.max_tainted_bytes
         self._max_prov_nodes = self.policy.max_prov_nodes
         self.banks = ShadowBank()

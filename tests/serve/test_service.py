@@ -8,7 +8,10 @@ socket + client + kill-and-restart path is covered end to end by
 
 import time
 
+import pytest
+
 from repro.analysis.triage import TriageJob
+from repro.cli import build_parser
 from repro.serve.journal import JobJournal
 from repro.serve.service import ServeConfig, TriageService
 
@@ -287,3 +290,22 @@ def test_health_and_metrics_views(tmp_path):
     assert health["pool"]["size"] == 2
     assert metrics["rec"] == "metrics"
     assert "serve.jobs.accepted" in metrics["metrics"]["counters"]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("workers", 0), ("workers", -1), ("max_inflight", 0), ("max_inflight", -2),
+])
+def test_config_rejects_settings_that_never_dispatch(tmp_path, field, value):
+    # Zero workers or zero in-flight slots would accept and journal jobs
+    # that the dispatcher never runs.
+    with pytest.raises(ValueError, match=field):
+        _config(tmp_path, **{field: value})
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "--max-inflight"])
+def test_cli_rejects_non_positive_worker_counts(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["serve", "--smoke", flag, "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: " in err and f"argument {flag}: must be >= 1" in err

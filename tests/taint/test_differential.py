@@ -6,8 +6,10 @@ identical* to the kept pre-optimisation implementation
 (:mod:`repro.taint.reference`).  This harness enforces that along every
 channel taint can move through:
 
-* **shadow operations** -- random set/clear/range/scatter sequences
-  against both shadow stores, comparing flat snapshots and probes;
+* **shadow operations** -- random set/clear/range/scatter/bulk
+  sequences against both shadow stores, comparing flat snapshots and
+  probes, and holding the bulk ops (``append_range``/``copy_range``)
+  to the interner hits/misses of the per-byte loops they replace;
 * **instruction streams** -- hypothesis-generated guest programs run on
   ONE machine carrying both trackers (the reference always demands
   instrumentation, so both observe the identical stream), comparing
@@ -26,13 +28,6 @@ channel taint can move through:
   the co-attached pair (where the reference forces interpretation for
   both), each matrix leg runs on its own machine so the translated leg
   genuinely executes fused per-block taint closures.
-* **the representation matrix** -- the same random op sequences and
-  guest programs through the three shadow configurations (``array``:
-  promote-at-one-byte, ``dict``: never promote, ``mixed``: forced
-  promote/demote thresholds so pages cross the representation boundary
-  mid-run), compared down to interner counters, retirement splits and
-  tainted-load observations, with ``taint/reference.py`` as the
-  byte-at-a-time oracle.
 
 The quick versions of the randomised suites run in tier-1 (a ~100-case
 smoke slice of the translate matrix included); the
@@ -99,6 +94,7 @@ park:
 addresses = st.integers(0, 3 * SHADOW_PAGE_SIZE)
 small_provs = st.lists(st.sampled_from(TAGS), max_size=3, unique=True).map(tuple)
 scatter = st.lists(addresses, min_size=1, max_size=8).map(tuple)
+bulk_lengths = st.integers(0, 200)
 
 shadow_ops = st.lists(
     st.one_of(
@@ -107,29 +103,74 @@ shadow_ops = st.lists(
         st.tuples(st.just("clear_range"), addresses, st.integers(0, 64)),
         st.tuples(st.just("set_bytes"), scatter, small_provs),
         st.tuples(st.just("clear_bytes"), scatter),
+        st.tuples(st.just("append_range"), addresses, bulk_lengths, st.sampled_from(TAGS)),
+        st.tuples(
+            st.just("copy_range"),
+            addresses,
+            addresses,
+            bulk_lengths,
+            st.sampled_from(TAGS + (None,)),
+        ),
     ),
     max_size=30,
 )
 
 
-def apply_shadow_op(shadow, op):
+def apply_shadow_op_per_byte(shadow, op, append=append_tag):
+    """Byte-at-a-time semantics for the bulk-only shadow ops.
+
+    ``append_range`` and ``copy_range`` become the literal per-byte
+    ``get``/``set`` loops (with *append* as the Table I append); every
+    other op is applied as is.
+    """
     name, args = op[0], op[1:]
-    getattr(shadow, name)(*args)
+    if name == "append_range":
+        start, length, tag = args
+        for paddr in range(start, start + length):
+            shadow.set(paddr, append(shadow.get(paddr), tag))
+    elif name == "copy_range":
+        dst, src, length, tag = args
+        for i in range(length):
+            prov = shadow.get(src + i)
+            if prov and tag is not None:
+                prov = append(prov, tag)
+            shadow.set(dst + i, prov)
+    else:
+        getattr(shadow, name)(*args)
+
+
+def touched_addresses(op):
+    name = op[0]
+    if name == "set":
+        return (op[1],)
+    if name in ("set_range", "clear_range", "append_range"):
+        return range(op[1], op[1] + op[2])
+    if name == "copy_range":
+        return range(op[1], op[1] + op[3])
+    return op[1]
 
 
 def check_shadow_sequence(ops, interner):
     fast = ShadowMemory(interner)
     ref = ReferenceShadowMemory()
+    # The same ops with the bulk calls unrolled into per-byte loops,
+    # through a second interner: the bulk ops must score its exact
+    # hits/misses.
+    loop_interner = ProvInterner()
+    loop = ShadowMemory(loop_interner)
     touched = set()
     for op in ops:
-        apply_shadow_op(fast, op)
-        apply_shadow_op(ref, op)
-        if op[0] in ("set",):
-            touched.add(op[1])
-        elif op[0] in ("set_range", "clear_range"):
-            touched.update(range(op[1], op[1] + op[2]))
-        else:
-            touched.update(op[1])
+        getattr(fast, op[0])(*op[1:])
+        apply_shadow_op_per_byte(ref, op)
+        if interner is not None:
+            apply_shadow_op_per_byte(loop, op, loop_interner.append)
+        touched.update(touched_addresses(op))
+    if interner is not None:
+        assert (interner.hits, interner.misses) == (
+            loop_interner.hits,
+            loop_interner.misses,
+        ), "bulk ops diverged from the per-byte interner call sequence"
+        assert loop.snapshot() == ref.snapshot()
     assert fast.snapshot() == ref.snapshot()
     assert fast.tainted_bytes == ref.tainted_bytes
     for paddr in touched:
@@ -141,6 +182,7 @@ def check_shadow_sequence(ops, interner):
     # pages_clean must never claim a dirty byte's page is clean.
     for paddr, prov in fast.snapshot().items():
         assert not fast.pages_clean((paddr,))
+        assert not fast.range_clean(paddr, 1)
 
 
 class TestShadowOperationDifferential:
@@ -450,7 +492,7 @@ class TestKernelPathDifferential:
 # ======================================================================
 
 
-def run_single(body, policy, seeds, tracker, translate, extra_seeds=()):
+def run_single(body, policy, seeds, tracker, translate):
     """Run *body* under one tracker alone on a fresh machine.
 
     Alone matters: with no co-attached reference demanding the full
@@ -474,8 +516,8 @@ def run_single(body, policy, seeds, tracker, translate, extra_seeds=()):
         seed("in_b", 4, SEED_B)
     if seeds == "buf":
         seed("buf", 8, SEED_A)
-    for label, n, tag in extra_seeds:
-        seed(label, n, tag)
+    elif seeds == "ab+buf":
+        seed("buf", 32, SEED_A)  # one uniform run over the whole buffer
     machine.run(300_000)
     return machine, obs_log
 
@@ -515,14 +557,19 @@ def run_translate_matrix(body, policy, seeds):
     assert tainted_observations(obs_t) == tainted_observations(obs_r)
 
 
+#: The program seeds plus a uniform run over all of ``buf`` on top of
+#: both input words.
+matrix_seed_choices = st.sampled_from(["a", "b", "ab", "buf", "ab+buf", "none"])
+
+
 class TestTranslateMatrixDifferential:
-    @given(body=guest_programs(), policy=policies, seeds=seed_choices)
+    @given(body=guest_programs(), policy=policies, seeds=matrix_seed_choices)
     @settings(max_examples=35, deadline=None)
     def test_quick(self, body, policy, seeds):
         run_translate_matrix(body, policy, seeds)
 
     @pytest.mark.slow
-    @given(body=guest_programs(), policy=policies, seeds=seed_choices)
+    @given(body=guest_programs(), policy=policies, seeds=matrix_seed_choices)
     @settings(max_examples=400, deadline=None)
     def test_exhaustive(self, body, policy, seeds):
         run_translate_matrix(body, policy, seeds)
@@ -572,165 +619,3 @@ class TestDetectionVerdictDifferential:
         assert not ref.attack_detected
         assert not fast.attack_detected
         assert flag_keys(fast) == flag_keys(ref) == set()
-
-
-# ======================================================================
-# 6. shadow-representation matrix: array vs dict vs forced-mixed
-# ======================================================================
-
-SHADOW_MODES = ("array", "dict", "mixed")
-
-#: Op mix biased toward long uniform runs (promotion fodder in the
-#: array/mixed configurations) interleaved with scattered writes of
-#: distinct provenance (code-set growth past the forced-mixed cap, so
-#: pages demote again), walking pages across the representation
-#: boundary mid-sequence.
-rep_lengths = st.integers(1, 200)
-rep_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("set_range"), addresses, rep_lengths, small_provs),
-        st.tuples(st.just("append_range"), addresses, rep_lengths, st.sampled_from(TAGS)),
-        st.tuples(st.just("set"), addresses, small_provs),
-        st.tuples(st.just("clear_range"), addresses, rep_lengths),
-        st.tuples(st.just("set_bytes"), scatter, small_provs),
-        st.tuples(
-            st.just("copy_range"),
-            addresses,
-            addresses,
-            st.integers(1, 96),
-            st.sampled_from(TAGS + (None,)),
-        ),
-    ),
-    min_size=2,
-    max_size=24,
-)
-
-
-def apply_rep_op_reference(ref, op):
-    """Byte-at-a-time oracle semantics for the bulk-only shadow ops."""
-    name, args = op[0], op[1:]
-    if name == "append_range":
-        start, length, tag = args
-        for paddr in range(start, start + length):
-            ref.set(paddr, append_tag(ref.get(paddr), tag))
-    elif name == "copy_range":
-        dst, src, length, tag = args
-        for i in range(length):
-            prov = ref.get(src + i)
-            if prov and tag is not None:
-                prov = append_tag(prov, tag)
-            ref.set(dst + i, prov)
-    else:
-        getattr(ref, name)(*args)
-
-
-def check_representation_sequence(ops):
-    interners = {mode: ProvInterner() for mode in SHADOW_MODES}
-    shadows = {mode: ShadowMemory(interners[mode], mode=mode) for mode in SHADOW_MODES}
-    ref = ReferenceShadowMemory()
-    for op in ops:
-        for shadow in shadows.values():
-            getattr(shadow, op[0])(*op[1:])
-        apply_rep_op_reference(ref, op)
-    expected = ref.snapshot()
-    for mode, shadow in shadows.items():
-        assert shadow.snapshot() == expected, mode
-        assert shadow.tainted_bytes == ref.tainted_bytes, mode
-    # The bulk paths must score the exact hits/misses of the per-byte
-    # loops they replace, no matter which representation ran them.
-    base_counts = (interners["array"].hits, interners["array"].misses)
-    for mode in ("dict", "mixed"):
-        assert (interners[mode].hits, interners[mode].misses) == base_counts, mode
-    for paddr in sorted(expected)[:8]:
-        for shadow in shadows.values():
-            assert shadow.get(paddr) == ref.get(paddr)
-            assert not shadow.pages_clean((paddr,))
-            assert not shadow.range_clean(paddr, 1)
-
-
-class TestShadowRepresentationMatrix:
-    @given(ops=rep_ops)
-    @settings(max_examples=40, deadline=None)
-    def test_quick(self, ops):
-        check_representation_sequence(ops)
-
-    @pytest.mark.slow
-    @given(ops=rep_ops)
-    @settings(max_examples=400, deadline=None)
-    def test_exhaustive(self, ops):
-        check_representation_sequence(ops)
-
-    def test_forced_mixed_promotes_then_demotes_preserving_provenance(self):
-        shadow = ShadowMemory(ProvInterner(), mode="mixed")
-        prov = (TAGS[0],)
-        for i in range(8):
-            shadow.set(i, prov)  # dict page grows to the forced cap...
-        assert shadow.promotions >= 1  # ...and promotes to the array form
-        assert shadow.array_page_count == 1
-        expected = shadow.snapshot()
-        for i, tag in enumerate(TAGS[:3]):  # 3 distinct codes > cap of 2
-            shadow.set(100 + i, (tag,))
-            expected[100 + i] = (tag,)
-        assert shadow.demotions >= 1
-        assert shadow.dict_page_count == 1
-        assert shadow.array_page_count == 0
-        assert shadow.snapshot() == expected
-
-
-def run_representation_matrix(body, policy, seeds):
-    """The translate matrix again, across shadow representations.
-
-    Every leg runs the translated-tainted tier; only the shadow
-    configuration differs.  Seeding ``buf`` with one long uniform run
-    makes the array/mixed legs promote that page up front, and programs
-    that store mixed unions into it push forced-mixed past its code cap
-    and demote it again mid-run.
-    """
-    extra = (("buf", 32, SEED_A),)
-    legs = {}
-    for mode in SHADOW_MODES:
-        tracker = TaintTracker(
-            policy=policy, interner=ProvInterner(), shadow_mode=mode
-        )
-        machine, obs = run_single(body, policy, seeds, tracker, True, extra)
-        legs[mode] = (machine, tracker, obs)
-    reference = ReferenceTaintTracker(policy=policy)
-    machine_r, obs_r = run_single(body, policy, seeds, reference, False, extra)
-
-    machine_b, base, obs_b = legs[SHADOW_MODES[0]]
-    for mode in SHADOW_MODES[1:]:
-        machine_m, tracker, obs_m = legs[mode]
-        assert machine_m.now == machine_b.now
-        assert tracker.shadow.snapshot() == base.shadow.snapshot(), mode
-        assert tracker.shadow.tainted_bytes == base.shadow.tainted_bytes, mode
-        assert tracker.banks.snapshot() == base.banks.snapshot(), mode
-        assert tracker.stats.instructions == base.stats.instructions, mode
-        assert tracker.stats.fast_retirements == base.stats.fast_retirements, mode
-        assert tracker.stats.slow_retirements == base.stats.slow_retirements, mode
-        assert (
-            tracker.stats.process_tag_appends == base.stats.process_tag_appends
-        ), mode
-        assert (tracker.interner.hits, tracker.interner.misses) == (
-            base.interner.hits,
-            base.interner.misses,
-        ), f"interner call sequences diverged in shadow mode {mode}"
-        assert tainted_observations(obs_m) == tainted_observations(obs_b), mode
-
-    assert machine_b.now == machine_r.now
-    assert base.shadow.snapshot() == reference.shadow.snapshot()
-    assert base.banks.snapshot() == reference.banks.snapshot()
-    assert base.stats.instructions == reference.stats.instructions
-    assert tainted_observations(obs_b) == tainted_observations(obs_r)
-
-
-class TestProgramRepresentationMatrix:
-    @given(body=guest_programs(), policy=policies, seeds=seed_choices)
-    @settings(max_examples=15, deadline=None)
-    def test_quick(self, body, policy, seeds):
-        run_representation_matrix(body, policy, seeds)
-
-    @pytest.mark.slow
-    @given(body=guest_programs(), policy=policies, seeds=seed_choices)
-    @settings(max_examples=150, deadline=None)
-    def test_exhaustive(self, body, policy, seeds):
-        run_representation_matrix(body, policy, seeds)

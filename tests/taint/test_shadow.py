@@ -1,15 +1,9 @@
 """Unit tests for page-organised shadow memory and register banks.
 
-Besides the dict-form unit contracts, this file holds the Hypothesis
-property suites for the two-representation design:
-
-* **flag-cache invariant** -- after any interleaving of
-  set/clear/range/bulk/promote/demote ops, every page's summary word
-  equals the OR of its bytes' tag classes (and stays equal on the
-  cached re-probe);
-* **promote/demote round-trips** -- forcing pages across the
-  array/dict boundary never changes per-byte provenance, byte counts,
-  or summaries.
+Besides the unit contracts, this file holds the Hypothesis property
+suite for the flag cache: after any interleaving of
+set/clear/range/bulk ops, every page's summary word equals the OR of
+its bytes' tag classes (and stays equal on the cached re-probe).
 """
 
 import pytest
@@ -146,15 +140,12 @@ class TestPageOrganisation:
 
 
 ALL_TAGS = (N, P, E, F)
-MODES = ("auto", "array", "dict", "mixed")
 
 fc_addresses = st.integers(0, 2 * SHADOW_PAGE_SIZE - 1)
 fc_provs = st.lists(st.sampled_from(ALL_TAGS), max_size=3, unique=True).map(tuple)
 fc_scatter = st.lists(fc_addresses, min_size=1, max_size=6).map(tuple)
-fc_pages = st.integers(0, 2)
 
-#: Any interleaving of the shadow API, *including* forced representation
-#: transitions, over a three-page physical window.
+#: Any interleaving of the shadow API over a three-page physical window.
 flag_ops = st.lists(
     st.one_of(
         st.tuples(st.just("set"), fc_addresses, fc_provs),
@@ -175,8 +166,6 @@ flag_ops = st.lists(
         ),
         st.tuples(st.just("set_bytes"), fc_scatter, fc_provs),
         st.tuples(st.just("clear_bytes"), fc_scatter),
-        st.tuples(st.just("promote_page"), fc_pages),
-        st.tuples(st.just("demote_page"), fc_pages),
     ),
     max_size=15,
 )
@@ -191,16 +180,11 @@ def summary_oracle(shadow, number):
     return mask
 
 
-def run_flag_ops(shadow, ops):
-    for op in ops:
-        getattr(shadow, op[0])(*op[1:])
-
-
 class TestFlagCacheInvariant:
-    @given(ops=flag_ops, mode=st.sampled_from(MODES))
+    @given(ops=flag_ops)
     @settings(max_examples=60, deadline=None)
-    def test_summary_equals_or_of_byte_classes(self, ops, mode):
-        shadow = ShadowMemory(ProvInterner(), mode=mode)
+    def test_summary_equals_or_of_byte_classes(self, ops):
+        shadow = ShadowMemory(ProvInterner())
         for op in ops:
             getattr(shadow, op[0])(*op[1:])
             for number in range(3):
@@ -210,42 +194,10 @@ class TestFlagCacheInvariant:
                 assert shadow.page_summary(number) == expected
 
     @pytest.mark.slow
-    @given(ops=flag_ops, mode=st.sampled_from(MODES))
+    @given(ops=flag_ops)
     @settings(max_examples=400, deadline=None)
-    def test_summary_invariant_exhaustive(self, ops, mode):
-        self.test_summary_equals_or_of_byte_classes.hypothesis.inner_test(
-            self, ops, mode
-        )
-
-
-class TestPromoteDemoteRoundTrip:
-    @given(ops=flag_ops, mode=st.sampled_from(MODES))
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_preserves_exact_provenance(self, ops, mode):
-        shadow = ShadowMemory(ProvInterner(), mode=mode)
-        run_flag_ops(shadow, ops)
-        before = shadow.snapshot()
-        tainted = shadow.tainted_bytes
-        for number in shadow.dirty_pages():
-            shadow.demote_page(number)
-        assert shadow.snapshot() == before
-        assert shadow.tainted_bytes == tainted
-        for number in shadow.dirty_pages():
-            shadow.promote_page(number)  # may decline (too many codes): fine
-        assert shadow.snapshot() == before
-        assert shadow.tainted_bytes == tainted
-        for number in range(3):
-            assert shadow.page_summary(number) == summary_oracle(shadow, number)
-        for paddr, prov in before.items():
-            assert shadow.get(paddr) == prov
-
-    @pytest.mark.slow
-    @given(ops=flag_ops, mode=st.sampled_from(MODES))
-    @settings(max_examples=400, deadline=None)
-    def test_round_trip_exhaustive(self, ops, mode):
-        self.test_round_trip_preserves_exact_provenance.hypothesis.inner_test(
-            self, ops, mode
-        )
+    def test_summary_invariant_exhaustive(self, ops):
+        self.test_summary_equals_or_of_byte_classes.hypothesis.inner_test(self, ops)
 
 
 class TestShadowRegisters:
